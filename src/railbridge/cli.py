@@ -189,6 +189,12 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 # ------------------------------------------------------------- subcommands
 
 
+def _target_overlap(tvec: np.ndarray, rho: DensityMatrix) -> float:
+    # <t|rho|t> for unit-norm t and unit-trace rho: a pure target reached
+    # exactly can round one ulp above 1, which the schemas reject
+    return min(1.0, float(np.real(tvec.conj() @ rho.matrix @ tvec)))
+
+
 def cmd_simulate(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
     params = to_source_params(config)
     pert_params = replace(params, order="pert")
@@ -197,12 +203,12 @@ def cmd_simulate(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
     for name, chi in INPUT_STATES.items():
         rho, p = teleport(chi, params, cutoff=config.cutoff)
         tvec = ideal_teleport_target(chi, params, config.cutoff).dense()
-        f_conf = float(np.real(tvec.conj() @ rho.matrix @ tvec))
+        f_conf = _target_overlap(tvec, rho)
         if config.order == "pert":
             f_pert = f_conf
         else:
             rho_p, _ = teleport(chi, pert_params, cutoff=config.cutoff)
-            f_pert = float(np.real(tvec.conj() @ rho_p.matrix @ tvec))
+            f_pert = _target_overlap(tvec, rho_p)
         fname = f"state_{name}.json"
         _write_json(
             os.path.join(out_dir, fname), _density_file_dict(rho), "density-1"

@@ -14,48 +14,45 @@ the working precision.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .fock import (
-    ModeRegister,
-    Occupation,
-    PureState,
-    PRUNE_TOL,
-    prune,
-)
+from .fock import NULL_TOL, PRUNE_TOL, ModeRegister, PureState, norm
 
 
-def _lift_pair(U: np.ndarray, m: int, n: int) -> Dict[Tuple[int, int], complex]:
-    """Exact Fock-space image of |m, n> under a 2x2 mode map.
+@functools.lru_cache(maxsize=64)
+def _pair_tensor(u: Tuple[complex, ...], ca: int, cb: int) -> np.ndarray:
+    """Transition tensor T[p, q, m, n] = <p, q| U |m, n> within the cutoffs.
 
     Expands (a^dag)^m (b^dag)^n binomially after substituting the mapped
     creation operators; the amplitude reaching |p, q> (p + q = m + n) is
 
         sum_{j+k=p} C(m,j) C(n,k) U00^j U10^(m-j) U01^k U11^(n-k)
                     * sqrt(p! q! / (m! n!))
+
+    ``u`` is U flattened row-major. Circuits reuse a handful of maps (plates,
+    analysers) at every point of a scan, so tensors are cached; each is
+    read-only because callers share it.
     """
-    out: Dict[Tuple[int, int], complex] = {}
-    total = m + n
-    base = 1.0 / math.sqrt(math.factorial(m) * math.factorial(n))
-    for j in range(m + 1):
-        cj = math.comb(m, j) * U[0, 0] ** j * U[1, 0] ** (m - j)
-        if cj == 0.0:
-            continue
-        for k in range(n + 1):
-            ck = math.comb(n, k) * U[0, 1] ** k * U[1, 1] ** (n - k)
-            if ck == 0.0:
-                continue
-            p = j + k
-            q = total - p
-            w = cj * ck * base * math.sqrt(math.factorial(p) * math.factorial(q))
-            key = (p, q)
-            out[key] = out.get(key, 0.0 + 0.0j) + w
-    return out
+    u00, u01, u10, u11 = u
+    f = math.factorial
+    T = np.zeros((ca + 1, cb + 1, ca + 1, cb + 1), dtype=complex)
+    for m, n in itertools.product(range(ca + 1), range(cb + 1)):
+        base = 1.0 / math.sqrt(f(m) * f(n))
+        for j, k in itertools.product(range(m + 1), range(n + 1)):
+            p, q = j + k, m + n - j - k
+            if p <= ca and q <= cb:
+                cj = math.comb(m, j) * u00**j * u10 ** (m - j)
+                ck = math.comb(n, k) * u01**k * u11 ** (n - k)
+                T[p, q, m, n] += cj * ck * base * math.sqrt(f(p) * f(q))
+    T.flags.writeable = False
+    return T
 
 
 def apply_pair_map(
@@ -64,24 +61,10 @@ def apply_pair_map(
     """Apply a 2x2 mode map on (mode_a, mode_b), exactly within the cutoffs."""
     reg = state.register
     ia, ib = reg.index(mode_a), reg.index(mode_b)
-    ca, cb = reg.cutoffs[ia], reg.cutoffs[ib]
-    U = np.asarray(U, dtype=complex)
-    out: Dict[Occupation, complex] = {}
-    cache: Dict[Tuple[int, int], Dict[Tuple[int, int], complex]] = {}
-    for occ, amp in state.amps.items():
-        m, n = occ[ia], occ[ib]
-        trans = cache.get((m, n))
-        if trans is None:
-            trans = _lift_pair(U, m, n)
-            cache[(m, n)] = trans
-        base = list(occ)
-        for (p, q), w in trans.items():
-            if p > ca or q > cb:
-                continue
-            base[ia], base[ib] = p, q
-            key = tuple(base)
-            out[key] = out.get(key, 0.0 + 0.0j) + amp * w
-    return prune(PureState(reg, out))
+    u = tuple(np.asarray(U, dtype=complex).ravel().tolist())
+    T = _pair_tensor(u, reg.cutoffs[ia], reg.cutoffs[ib])
+    out = np.tensordot(T, state.array, axes=([2, 3], [ia, ib]))
+    return PureState(reg, np.moveaxis(out, (0, 1), (ia, ib)))
 
 
 def beam_splitter(state: PureState, mode_a: str, mode_b: str, t: float) -> PureState:
@@ -96,10 +79,8 @@ def beam_splitter(state: PureState, mode_a: str, mode_b: str, t: float) -> PureS
 
 def phase_shift(state: PureState, mode: str, phi: float) -> PureState:
     """Multiply each amplitude by e^(i n phi) for n photons in ``mode``."""
-    idx = state.register.index(mode)
-    rot = np.exp(1j * phi)
-    out = {occ: amp * rot ** occ[idx] for occ, amp in state.amps.items()}
-    return PureState(state.register, out)
+    rot = np.exp(1j * phi) ** state.register.photons(mode)
+    return PureState(state.register, state.array * rot)
 
 
 def _pol_pair(state: PureState, spatial: str) -> Tuple[str, str]:
@@ -145,12 +126,7 @@ def polarising_bs(state: PureState, spatial_1: str, spatial_2: str) -> PureState
     i2 = reg.index(f"{spatial_2}_V")
     if reg.cutoffs[i1] != reg.cutoffs[i2]:
         raise ValueError("swapped V modes must share a cutoff")
-    out: Dict[Occupation, complex] = {}
-    for occ, amp in state.amps.items():
-        o = list(occ)
-        o[i1], o[i2] = o[i2], o[i1]
-        out[tuple(o)] = amp
-    return PureState(reg, out)
+    return PureState(reg, np.swapaxes(state.array, i1, i2))
 
 
 def polariser(
@@ -166,15 +142,13 @@ def polariser(
     c, s = math.cos(angle), math.sin(angle)
     U = np.array([[c, s], [-s, c]], dtype=complex)  # maps the axis onto H
     rotated = apply_pair_map(state, h, v, U)
-    iv = state.register.index(v)
-    passed = {occ: amp for occ, amp in rotated.amps.items() if occ[iv] == 0}
-    out = PureState(state.register, passed)
-    total = sum(abs(a) ** 2 for a in state.amps.values())
-    p = sum(abs(a) ** 2 for a in passed.values()) / total if total else 0.0
-    n = math.sqrt(sum(abs(a) ** 2 for a in passed.values()))
-    if n > 0.0:
-        out = PureState(state.register, {o: a / n for o, a in passed.items()})
-    return out, p
+    passed = rotated.array * (state.register.photons(v) == 0)
+    total = norm(state) ** 2
+    kept = float(np.sum(np.abs(passed) ** 2))
+    p = kept / total if total else 0.0
+    if p > NULL_TOL:
+        passed = passed / math.sqrt(kept)
+    return PureState(state.register, passed), p
 
 
 def two_mode_squeezer(
@@ -190,27 +164,31 @@ def two_mode_squeezer(
         raise ValueError(f"unknown squeezer order {order!r}")
     if abs(gamma) >= 1.0:
         raise ValueError("pair amplitude |gamma| must be < 1")
-    reg = state.register
-    ia, ib = reg.index(mode_a), reg.index(mode_b)
-    n_max = min(reg.cutoffs[ia], reg.cutoffs[ib])
+    ca, cb = state.register.cutoff_of(mode_a), state.register.cutoff_of(mode_b)
     if order == "pert":
-        ladder = [(0, 1.0 + 0.0j), (1, complex(gamma))]
+        ladder = [1.0 + 0.0j, complex(gamma)]
     else:
         scale = math.sqrt(1.0 - abs(gamma) ** 2)
-        ladder = [(n, scale * complex(gamma) ** n) for n in range(n_max + 1)]
-    out: Dict[Occupation, complex] = {}
-    for occ, amp in state.amps.items():
-        if occ[ia] != 0 or occ[ib] != 0:
-            raise ValueError(
-                f"squeezer target modes ({mode_a}, {mode_b}) must start in vacuum"
-            )
-        base = list(occ)
-        for n, w in ladder:
-            if n > n_max:
-                continue
-            base[ia] = base[ib] = n
-            out[tuple(base)] = out.get(tuple(base), 0.0 + 0.0j) + amp * w
-    return prune(PureState(reg, out))
+        ladder = [scale * complex(gamma) ** n for n in range(min(ca, cb) + 1)]
+    block = np.zeros((ca + 1, cb + 1), dtype=complex)
+    block[: len(ladder), : len(ladder)] = np.diag(ladder)
+    return populate(state, (mode_a, mode_b), block)
+
+
+def populate(state: PureState, modes: Sequence[str], block: np.ndarray) -> PureState:
+    """Fill modes that are vacuum in every term with a fixed amplitude block.
+
+    Each term |0...0>_modes |rest> becomes sum_occ block[occ] |occ>_modes
+    |rest>; ``block`` has one axis per mode in ``modes``, in that order.
+    """
+    reg = state.register
+    pos = [reg.index(m) for m in modes]
+    t = np.moveaxis(state.array, pos, range(len(pos)))
+    flat = t.reshape(-1, *t.shape[len(pos):])
+    if np.any(np.abs(flat[1:]) > PRUNE_TOL):
+        raise ValueError(f"modes {tuple(modes)} must start in vacuum")
+    out = np.multiply.outer(np.asarray(block, dtype=complex), flat[0])
+    return PureState(reg, np.moveaxis(out, range(len(pos)), pos))
 
 
 def coherent_state(
@@ -227,23 +205,28 @@ def coherent_state(
     reg = ModeRegister((label,), (cutoff,))
     if order == "pert":
         return PureState(reg, {(0,): 1.0 + 0.0j, (1,): complex(alpha)})
-    amps: Dict[Occupation, complex] = {}
     pref = math.exp(-0.5 * abs(alpha) ** 2)
-    for n in range(cutoff + 1):
-        amps[(n,)] = pref * complex(alpha) ** n / math.sqrt(math.factorial(n))
-    kept = sum(abs(a) ** 2 for a in amps.values())
+    amps = [
+        pref * complex(alpha) ** n / math.sqrt(math.factorial(n))
+        for n in range(cutoff + 1)
+    ]
+    kept = sum(abs(a) ** 2 for a in amps)
     if 1.0 - kept > 1e-6:
         warnings.warn(
             f"coherent state truncation drops {1.0 - kept:.2e} of the weight "
             f"(|alpha|={abs(alpha):.3g}, cutoff={cutoff})",
             stacklevel=2,
         )
-    return prune(PureState(reg, amps))
+    return PureState(reg, np.array(amps))
 
 
-def click_probability(n: int, eta_d: float) -> float:
-    """Probability that a non-number-resolving detector fires on n photons."""
-    return 1.0 - (1.0 - eta_d) ** n
+def click_probability(n, eta_d: float):
+    """Probability that a non-number-resolving detector fires on n photons.
+
+    ``n`` may be an integer or an integer array; arrays give the weight per
+    element.
+    """
+    return 1.0 - (1.0 - eta_d) ** np.asarray(n)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,10 @@ Conventions used throughout the package:
 * Basis states are occupation tuples, ordered lexicographically with vacuum
   first. Dense objects (density matrices, operators) are indexed row-major
   by that order.
-* Pure states are sparse maps occupation -> complex amplitude; entries with
-  modulus below ``PRUNE_TOL`` are dropped by the algebra helpers.
+* A pure state is one dense complex amplitude tensor shaped
+  ``register.dims``: axis k holds the photon number of mode k, so a k-mode
+  operation is a contraction on k axes. Its ``amps`` view lists only the
+  entries with modulus above ``PRUNE_TOL``.
 * ``normalize`` fixes the global phase so that the first nonzero amplitude
   in lexicographic order is real and non-negative.
 """
@@ -18,8 +20,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Iterator, List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -83,29 +86,66 @@ class ModeRegister:
             idx = idx * d + n
         return idx
 
+    def contains(self, occ: Occupation) -> bool:
+        """Whether ``occ`` is an occupation of this register within the cutoffs."""
+        return len(occ) == self.n_modes and all(
+            0 <= n < d for n, d in zip(occ, self.dims)
+        )
+
+    def photons(self, label: str) -> np.ndarray:
+        """Photon number of one mode, shaped to broadcast over the
+        register's amplitude tensor."""
+        i = self.index(label)
+        shape = [1] * self.n_modes
+        shape[i] = self.dims[i]
+        return np.arange(self.dims[i]).reshape(shape)
+
     def subset(self, labels: Sequence[str]) -> "ModeRegister":
         """Sub-register in the order requested by the caller."""
         return ModeRegister(tuple(labels), tuple(self.cutoff_of(m) for m in labels))
 
 
-@dataclass
 class PureState:
-    """Sparse pure state over a mode register. Treat instances as immutable."""
+    """Pure state over a mode register, held as one dense amplitude tensor.
 
-    register: ModeRegister
-    amps: Dict[Occupation, complex] = field(default_factory=dict)
+    ``PureState(register, {occupation: amplitude})`` fills the tensor from a
+    mapping; ``PureState(register, array)`` wraps an array shaped
+    ``register.dims``. Treat instances as immutable.
+    """
 
-    def copy(self) -> "PureState":
-        return PureState(self.register, dict(self.amps))
+    __slots__ = ("register", "array")
+
+    def __init__(
+        self,
+        register: ModeRegister,
+        amps: Union[Mapping[Occupation, complex], np.ndarray, None] = None,
+    ) -> None:
+        self.register = register
+        if isinstance(amps, np.ndarray):
+            if amps.shape != register.dims:
+                raise ValueError(f"amplitudes {amps.shape} != dims {register.dims}")
+            self.array = amps.astype(complex, copy=False)
+            return
+        self.array = np.zeros(register.dims, dtype=complex)
+        for occ, a in (amps or {}).items():
+            if not register.contains(tuple(occ)):
+                raise ValueError(f"occupation {tuple(occ)} outside {register}")
+            self.array[tuple(occ)] = a
+
+    @property
+    def amps(self) -> Mapping[Occupation, complex]:
+        """Read-only map occupation -> amplitude of the entries above PRUNE_TOL."""
+        mask = np.abs(self.array) > PRUNE_TOL
+        occs = map(tuple, np.argwhere(mask).tolist())
+        return MappingProxyType(dict(zip(occs, self.array[mask].tolist())))
 
     def amplitude(self, occ: Occupation) -> complex:
-        return self.amps.get(tuple(occ), 0.0 + 0.0j)
+        occ = tuple(occ)
+        return complex(self.array[occ]) if self.register.contains(occ) else 0j
 
     def dense(self) -> np.ndarray:
-        vec = np.zeros(self.register.dim, dtype=complex)
-        for occ, a in self.amps.items():
-            vec[self.register.basis_index(occ)] = a
-        return vec
+        """Amplitudes as a flat vector in lexicographic basis order (a copy)."""
+        return self.array.flatten()
 
 
 @dataclass
@@ -152,13 +192,7 @@ def vacuum(register: ModeRegister) -> PureState:
 
 
 def norm(state: PureState) -> float:
-    return math.sqrt(sum(abs(a) ** 2 for a in state.amps.values()))
-
-
-def prune(state: PureState, tol: float = PRUNE_TOL) -> PureState:
-    return PureState(
-        state.register, {o: a for o, a in state.amps.items() if abs(a) > tol}
-    )
+    return math.sqrt(float(np.sum(np.abs(state.array) ** 2)))
 
 
 def normalize(state: Union[PureState, DensityMatrix], tol: float = PRUNE_TOL):
@@ -166,6 +200,7 @@ def normalize(state: Union[PureState, DensityMatrix], tol: float = PRUNE_TOL):
 
     Pure states additionally get the global-phase convention: the first
     nonzero amplitude in lexicographic basis order is made real non-negative.
+    Amplitudes at or below ``tol`` times the norm are set to zero.
     """
     if isinstance(state, DensityMatrix):
         tr = np.trace(state.matrix)
@@ -175,15 +210,12 @@ def normalize(state: Union[PureState, DensityMatrix], tol: float = PRUNE_TOL):
     n = norm(state)
     if n < NULL_TOL:
         raise NullOutcomeError("cannot normalize a zero state")
-    phase = 1.0 + 0.0j
-    for occ in sorted(state.amps):
-        a = state.amps[occ]
-        if abs(a) > tol:
-            phase = a / abs(a)
-            break
-    scale = 1.0 / (n * phase)
-    out = {o: a * scale for o, a in state.amps.items() if abs(a) > tol * n}
-    return PureState(state.register, out)
+    flat = state.array.ravel()
+    mag = np.abs(flat)
+    first = int(np.argmax(mag > tol))
+    phase = flat[first] / mag[first] if mag[first] > tol else 1.0
+    out = np.where(mag > tol * n, flat * (1.0 / (n * phase)), 0.0)
+    return PureState(state.register, out.reshape(state.register.dims))
 
 
 def tensor(a: PureState, b: PureState) -> PureState:
@@ -194,11 +226,7 @@ def tensor(a: PureState, b: PureState) -> PureState:
     reg = ModeRegister(
         a.register.labels + b.register.labels, a.register.cutoffs + b.register.cutoffs
     )
-    amps: Dict[Occupation, complex] = {}
-    for oa, va in a.amps.items():
-        for ob, vb in b.amps.items():
-            amps[oa + ob] = va * vb
-    return prune(PureState(reg, amps))
+    return PureState(reg, np.multiply.outer(a.array, b.array))
 
 
 def project(
@@ -206,7 +234,7 @@ def project(
     bra: PureState,
     allow_null: bool = False,
 ) -> Tuple[PureState, float]:
-    """Apply the bra <phi| on the modes of ``bra``'s register.
+    """Apply the bra <phi| on the modes of ``bra``'s register (same cutoffs).
 
     Returns the unnormalized remainder on the leftover modes and the outcome
     probability (squared norm of the remainder, assuming ``state`` is
@@ -215,21 +243,13 @@ def project(
     """
     reg = state.register
     bra_pos = [reg.index(m) for m in bra.register.labels]
-    keep_pos = [i for i in range(reg.n_modes) if i not in bra_pos]
-    keep_reg = ModeRegister(
-        tuple(reg.labels[i] for i in keep_pos),
-        tuple(reg.cutoffs[i] for i in keep_pos),
+    if tuple(bra.register.cutoffs) != tuple(reg.cutoffs[i] for i in bra_pos):
+        raise ValueError("bra cutoffs do not match the projected modes")
+    keep_reg = reg.subset([m for m in reg.labels if m not in bra.register.labels])
+    out = np.tensordot(
+        bra.array.conj(), state.array, axes=(list(range(len(bra_pos))), bra_pos)
     )
-    bra_conj = {o: v.conjugate() for o, v in bra.amps.items()}
-    out: Dict[Occupation, complex] = {}
-    for occ, amp in state.amps.items():
-        b_occ = tuple(occ[i] for i in bra_pos)
-        c = bra_conj.get(b_occ)
-        if c is None:
-            continue
-        k_occ = tuple(occ[i] for i in keep_pos)
-        out[k_occ] = out.get(k_occ, 0.0 + 0.0j) + c * amp
-    remainder = prune(PureState(keep_reg, out))
+    remainder = PureState(keep_reg, out)
     p = norm(remainder) ** 2
     if p < NULL_TOL and not allow_null:
         raise NullOutcomeError(f"projection outcome has probability {p:.3e}")
@@ -241,25 +261,30 @@ def to_density(state: PureState) -> DensityMatrix:
     return DensityMatrix(state.register, np.outer(vec, vec.conj()))
 
 
-def reduced_density(state: PureState, keep: Sequence[str]) -> DensityMatrix:
-    """Reduced density matrix of a sparse pure state on the kept modes."""
+def branches(
+    state: PureState, keep: Sequence[str]
+) -> Tuple[ModeRegister, ModeRegister, np.ndarray]:
+    """Split a pure state into the ``keep`` modes and the rest.
+
+    Returns the kept register (in the order given), the register of the
+    other modes (in register order) and the amplitude tensor with axes
+    (kept basis index, *other modes): fixing the other modes' occupation
+    leaves the unnormalized kept-mode branch of that occupation.
+    """
     reg = state.register
     keep_pos = [reg.index(m) for m in keep]
-    other_pos = [i for i in range(reg.n_modes) if i not in keep_pos]
+    rest_pos = [i for i in range(reg.n_modes) if i not in keep_pos]
     keep_reg = reg.subset(keep)
-    groups: Dict[Occupation, Dict[Occupation, complex]] = {}
-    for occ, amp in state.amps.items():
-        o_occ = tuple(occ[i] for i in other_pos)
-        k_occ = tuple(occ[i] for i in keep_pos)
-        groups.setdefault(o_occ, {})[k_occ] = amp
-    d = keep_reg.dim
-    rho = np.zeros((d, d), dtype=complex)
-    for branch in groups.values():
-        vec = np.zeros(d, dtype=complex)
-        for k_occ, amp in branch.items():
-            vec[keep_reg.basis_index(k_occ)] = amp
-        rho += np.outer(vec, vec.conj())
-    return DensityMatrix(keep_reg, rho)
+    rest_reg = reg.subset([reg.labels[i] for i in rest_pos])
+    t = np.transpose(state.array, keep_pos + rest_pos)
+    return keep_reg, rest_reg, t.reshape((keep_reg.dim,) + rest_reg.dims)
+
+
+def reduced_density(state: PureState, keep: Sequence[str]) -> DensityMatrix:
+    """Reduced density matrix of a pure state on the kept modes."""
+    keep_reg, _, t = branches(state, keep)
+    m = t.reshape(keep_reg.dim, -1)
+    return DensityMatrix(keep_reg, m @ m.conj().T)
 
 
 def project_density(

@@ -24,10 +24,11 @@ rate estimates can reuse them.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.optimize import brentq
@@ -35,9 +36,11 @@ from scipy.optimize import brentq
 from .elements import (
     apply_pair_map,
     beam_splitter,
+    click_probability,
     coherent_state,
     half_wave_plate,
     polarising_bs,
+    populate,
     quarter_wave_plate,
     two_mode_squeezer,
 )
@@ -47,10 +50,10 @@ from .fock import (
     NullOutcomeError,
     Occupation,
     PureState,
+    branches,
     norm,
     normalize,
     project,
-    prune,
     tensor,
     to_density,
     vacuum,
@@ -61,6 +64,8 @@ DEFAULT_CUTOFF = 2
 # detector modes of the projection circuit and of the herald arm
 BELL_CLICK_MODES = ("A_H", "C_H")
 HERALD_CLICK_MODE = "D_H"
+# the three counters of a teleport run, in click-pattern order
+COUNTER_MODES = (*BELL_CLICK_MODES, HERALD_CLICK_MODE)
 
 
 @dataclass(frozen=True)
@@ -201,8 +206,7 @@ def build_resource_omega(params: SourceParams, cutoff: int = DEFAULT_CUTOFF) -> 
         # orders below every tolerance used downstream
         warnings.simplefilter("ignore", UserWarning)
         drive = coherent_state("drive", al, cutoff, order="exact")
-    ladder = [drive.amplitude((n,)) for n in range(cutoff + 1)]
-    return normalize(_inject_single_mode(state, "C_V", ladder))
+    return normalize(populate(state, ("C_V",), drive.array))
 
 
 def build_bell_pair(
@@ -227,27 +231,6 @@ def build_bell_pair(
     state = two_mode_squeezer(vacuum(reg), "A_H", "D_V", g2, order="exact")
     state = two_mode_squeezer(state, "A_V", "D_H", g3, order="exact")
     return normalize(state)
-
-
-def _inject_single_mode(
-    state: PureState, label: str, ladder: Sequence[complex]
-) -> PureState:
-    """Populate a mode that is vacuum in every term with the given amplitudes."""
-    reg = state.register
-    idx = reg.index(label)
-    cut = reg.cutoffs[idx]
-    out: Dict[Occupation, complex] = {}
-    for occ, amp in state.amps.items():
-        if occ[idx] != 0:
-            raise ValueError(f"mode {label!r} must start in vacuum")
-        base = list(occ)
-        for n, w in enumerate(ladder):
-            if n > cut or w == 0.0:
-                continue
-            base[idx] = n
-            key = tuple(base)
-            out[key] = out.get(key, 0.0 + 0.0j) + amp * w
-    return prune(PureState(reg, out))
 
 
 # -------------------------------------------------------------- heralding
@@ -289,6 +272,24 @@ def _click_groups(clicks: Sequence[Union[str, Sequence[str]]]) -> Tuple[Tuple[st
     return tuple(groups)
 
 
+def _click_weights(
+    reg: ModeRegister,
+    groups: Sequence[Tuple[str, ...]],
+    eta_d: float,
+    pattern: Sequence[int],
+) -> np.ndarray:
+    """Weight of a click pattern per occupation, broadcastable over ``reg``.
+
+    A counter fires on the total photon number n of its modes with
+    click_probability(n, eta_d); bit 0 takes the complement.
+    """
+    w = np.ones((1,) * reg.n_modes)
+    for g, bit in zip(groups, pattern):
+        c = click_probability(sum(reg.photons(m) for m in g), eta_d)
+        w = w * (c if bit else 1.0 - c)
+    return w
+
+
 def condition_on_clicks(
     state: PureState,
     clicks: Sequence[Union[str, Sequence[str]]],
@@ -304,40 +305,14 @@ def condition_on_clicks(
     for blocked polariser ports. ``state`` is assumed normalized; returns
     the normalized conditional density matrix and the click probability.
     """
-    reg = state.register
     groups = _click_groups(clicks)
-    keep_idx = tuple(reg.index(m) for m in keep)
-    watched = {m for g in groups for m in g}
-    if watched & set(keep):
+    if {m for g in groups for m in g} & set(keep):
         raise ValueError("click modes cannot also be kept")
-    rest_idx = tuple(i for i in range(reg.n_modes) if i not in keep_idx)
-    pos_in_rest = {ri: k for k, ri in enumerate(rest_idx)}
-    group_pos = [tuple(pos_in_rest[reg.index(m)] for m in g) for g in groups]
-
-    buckets: Dict[Occupation, Dict[Occupation, complex]] = {}
-    for occ, amp in state.amps.items():
-        r_occ = tuple(occ[i] for i in rest_idx)
-        k_occ = tuple(occ[i] for i in keep_idx)
-        buckets.setdefault(r_occ, {})[k_occ] = amp
-
-    keep_reg = reg.subset(keep)
-    d = keep_reg.dim
-    rho = np.zeros((d, d), dtype=complex)
-    p_total = 0.0
-    for r_occ, branch in buckets.items():
-        w = 1.0
-        for gp in group_pos:
-            n_g = sum(r_occ[k] for k in gp)
-            w *= 1.0 - (1.0 - eta_d) ** n_g
-            if w == 0.0:
-                break
-        if w == 0.0:
-            continue
-        vec = np.zeros(d, dtype=complex)
-        for k_occ, amp in branch.items():
-            vec[keep_reg.basis_index(k_occ)] = amp
-        rho += w * np.outer(vec, vec.conj())
-        p_total += w * float(np.real(vec.conj() @ vec))
+    keep_reg, rest_reg, t = branches(state, keep)
+    w = _click_weights(rest_reg, groups, eta_d, (1,) * len(groups))
+    m = t.reshape(keep_reg.dim, -1)
+    rho = (t * w).reshape(keep_reg.dim, -1) @ m.conj().T
+    p_total = float(np.real(np.trace(rho)))
     if p_total < min_probability:
         raise NullOutcomeError(
             f"click pattern has probability {p_total:.3e}"
@@ -355,24 +330,14 @@ def click_pattern_probability(
 
     All unlisted modes are traced out. Because both POVM outcomes are
     diagonal in the Fock basis, the probability is a single weighted sum
-    over the occupation amplitudes, with weight 1-(1-eta_d)^n per click
-    and (1-eta_d)^n per no-click.
+    of |amplitude|^2, with weight 1-(1-eta_d)^n per click and (1-eta_d)^n
+    per no-click.
     """
-    reg = state.register
     groups = _click_groups(clicks)
     if len(pattern) != len(groups):
         raise ValueError("pattern length must match the number of counters")
-    group_idx = [tuple(reg.index(m) for m in g) for g in groups]
-    p = 0.0
-    for occ, amp in state.amps.items():
-        w = abs(amp) ** 2
-        for bit, gi in zip(pattern, group_idx):
-            miss = (1.0 - eta_d) ** sum(occ[i] for i in gi)
-            w *= (1.0 - miss) if bit else miss
-            if w == 0.0:
-                break
-        p += w
-    return p
+    w = _click_weights(state.register, groups, eta_d, pattern)
+    return float(np.sum(np.abs(state.array) ** 2 * w))
 
 
 # ---------------------------------------------------------- Bell projection
@@ -456,6 +421,15 @@ def _exact_params(params: SourceParams) -> SourceParams:
     return params if params.order == "exact" else replace(params, order="exact")
 
 
+def _check_exact_cutoff(cutoff: int) -> None:
+    # at cutoff 1 no mode holds two photons, so the double-pair impostors
+    # the exact order exists to expose would silently vanish
+    if cutoff < 2:
+        raise ValueError(
+            f"exact order needs cutoff >= 2 to represent double pairs, got {cutoff}"
+        )
+
+
 def _teleport_predetection_state(
     chi: QubitSpec,
     params: SourceParams,
@@ -468,6 +442,7 @@ def _teleport_predetection_state(
     onto D_H, so the herald counter watches D_H and D_V holds the blocked
     component.
     """
+    _check_exact_cutoff(cutoff)
     params = _exact_params(params)
     joint = tensor(
         build_bell_pair(params, delta_phi, cutoff),
@@ -495,7 +470,7 @@ def teleport(
     and the projection factor but no detector efficiencies. Exact order
     runs the physical circuit with SPCM counters, so the returned state
     includes multi-pair false positives and the probability is the true
-    per-pulse triple-coincidence probability.
+    per-pulse triple-coincidence probability; it needs cutoff >= 2.
     """
     if params.order == "pert":
         bell = build_bell_pair(params, delta_phi, cutoff)
@@ -504,8 +479,7 @@ def teleport(
         remainder, p_bell = bell_project_ideal(joint, allow_null=False)
         return to_density(remainder), p_herald * p_bell
     pre = _teleport_predetection_state(chi, params, delta_phi, cutoff)
-    clicks = (BELL_CLICK_MODES[0], BELL_CLICK_MODES[1], HERALD_CLICK_MODE)
-    return condition_on_clicks(pre, clicks, params.eta_d, keep=("B",))
+    return condition_on_clicks(pre, COUNTER_MODES, params.eta_d, keep=("B",))
 
 
 def ideal_teleport_target(
@@ -529,8 +503,8 @@ def teleport_fidelity(
     """Overlap of the teleported state with its ideal target, plus the rate."""
     rho, p = teleport(chi, params, delta_phi, cutoff)
     target = ideal_teleport_target(chi, params, cutoff).dense()
-    f = float(np.real(target.conj() @ rho.matrix @ target))
-    return f, p
+    # a target reached exactly can round one ulp above 1
+    return min(1.0, float(np.real(target.conj() @ rho.matrix @ target))), p
 
 
 # ------------------------------------------------------- entanglement swap
@@ -545,8 +519,10 @@ def swap_entanglement(
 
     At perturbative order with alpha = gamma1 the output is the maximally
     entangled (|H>_D|1>_B + |V>_D|0>_B)/sqrt(2); exact order keeps the
-    multi-pair admixtures the projector cannot filter.
+    multi-pair admixtures the projector cannot filter; it needs cutoff >= 2.
     """
+    if params.order == "exact":
+        _check_exact_cutoff(cutoff)
     joint = tensor(
         build_bell_pair(params, delta_phi, cutoff),
         build_resource_omega(params, cutoff),
@@ -647,21 +623,18 @@ def triple_sector_probabilities(
     """
     pre = _teleport_predetection_state(chi, params, delta_phi, cutoff)
     reg = pre.register
-    d_idx = [reg.index(m) for m in ("D_H", "D_V")]
-    bell_idx = [reg.index(m) for m in ("A_H", "A_V", "C_H", "C_V")]
-    sectors: Dict[Tuple[int, int], Dict[Occupation, complex]] = {}
-    for occ, amp in pre.amps.items():
-        key = (sum(occ[i] for i in d_idx), sum(occ[i] for i in bell_idx))
-        sectors.setdefault(key, {})[occ] = amp
-    clicks = (BELL_CLICK_MODES[0], BELL_CLICK_MODES[1], HERALD_CLICK_MODE)
-    out: Dict[Tuple[int, int], float] = {}
-    for key, amps in sectors.items():
-        p = click_pattern_probability(
-            PureState(reg, amps), clicks, params.eta_d, (1, 1, 1)
-        )
-        if p > 0.0:
-            out[key] = p
-    return out
+    n_d = np.broadcast_to(reg.photons("D_H") + reg.photons("D_V"), reg.dims)
+    n_bell = np.broadcast_to(
+        sum(reg.photons(m) for m in ("A_H", "A_V", "C_H", "C_V")), reg.dims
+    )
+    weights = np.abs(pre.array) ** 2 * _click_weights(
+        reg, _click_groups(COUNTER_MODES), params.eta_d, (1, 1, 1)
+    )
+    table = np.zeros((n_d.max() + 1, n_bell.max() + 1))
+    np.add.at(table, (n_d.ravel(), n_bell.ravel()), weights.ravel())
+    return {
+        (int(a), int(b)): float(table[a, b]) for a, b in np.argwhere(table > 0.0)
+    }
 
 
 def simulated_triple_breakdown(
@@ -692,11 +665,29 @@ def click_pattern_distribution(
     entry equals the exact-order teleport probability.
     """
     pre = _teleport_predetection_state(chi, params, delta_phi, cutoff)
-    clicks = (BELL_CLICK_MODES[0], BELL_CLICK_MODES[1], HERALD_CLICK_MODE)
-    out: Dict[Tuple[int, int, int], float] = {}
-    for bits in ((i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)):
-        out[bits] = click_pattern_probability(pre, clicks, params.eta_d, bits)
-    return out
+    return pattern_probabilities(counter_marginal(pre), params.eta_d)
+
+
+def counter_marginal(state: PureState) -> np.ndarray:
+    """Joint photon-number distribution of the three counter modes.
+
+    Axes follow COUNTER_MODES; every other mode is summed out.
+    """
+    reg = state.register
+    axes = [reg.index(m) for m in COUNTER_MODES]
+    return np.einsum(np.abs(state.array) ** 2, list(range(reg.n_modes)), axes)
+
+
+def pattern_probabilities(
+    marginal: np.ndarray, eta_d: float
+) -> Dict[Tuple[int, int, int], float]:
+    """All eight click-pattern probabilities from a counter marginal."""
+    per_counter = []
+    for d in marginal.shape:
+        c = click_probability(np.arange(d), eta_d)
+        per_counter.append(np.stack([1.0 - c, c]))
+    table = np.einsum("abc,ia,jb,kc->ijk", marginal, *per_counter)
+    return {bits: float(table[bits]) for bits in itertools.product((0, 1), repeat=3)}
 
 
 def predetection_state(
@@ -743,11 +734,8 @@ def _hom_coincidence(params: SourceParams, xi: float, cutoff: int) -> float:
         state = PureState(reg, {(1, 0, 0, 0): 1.0 + 0.0j})
         matched = coherent_state("t", a_m, cutoff, order="exact")
         ortho = coherent_state("t", a_o, cutoff, order="exact")
-        state = _inject_single_mode(
-            state, "c_m", [matched.amplitude((n,)) for n in range(cutoff + 1)]
-        )
-        state = _inject_single_mode(
-            state, "c_o", [ortho.amplitude((n,)) for n in range(cutoff + 1)]
+        state = populate(
+            state, ("c_m", "c_o"), np.multiply.outer(matched.array, ortho.array)
         )
     state = normalize(state)
     state = beam_splitter(state, "s_m", "c_m", 0.5)

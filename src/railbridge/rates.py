@@ -22,13 +22,13 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .protocol import (
-    BELL_CLICK_MODES,
     DEFAULT_CUTOFF,
-    HERALD_CLICK_MODE,
     INPUT_STATES,
     QubitSpec,
     SourceParams,
     click_pattern_distribution,
+    counter_marginal,
+    pattern_probabilities,
     predetection_state,
 )
 
@@ -261,22 +261,17 @@ def simulate_triple_rate(
     efficiency, and scores a triple when all three counters see at least
     one survivor. No inclusion-exclusion arithmetic is reused, so this is
     an independent route to the same number as the (1,1,1) entry of
-    `click_pattern_distribution`.
+    `click_pattern_distribution`, which is computed here from the same
+    pre-detection state.
     """
     if n_pulses <= 0:
         raise ValueError(f"n_pulses={n_pulses} must be positive")
     pre = predetection_state(chi, params, cutoff=cutoff)
-    reg = pre.register
-    idx = [reg.index(m) for m in (*BELL_CLICK_MODES, HERALD_CLICK_MODE)]
     # marginal over the three counter modes; hidden modes are orthogonal
     # bystanders so their probabilities just add up
-    marginal: Dict[Tuple[int, int, int], float] = {}
-    for occ, amp in pre.amps.items():
-        key = (occ[idx[0]], occ[idx[1]], occ[idx[2]])
-        marginal[key] = marginal.get(key, 0.0) + abs(amp) ** 2
-    keys = np.array(list(marginal.keys()), dtype=np.int64)
-    probs = np.array(list(marginal.values()), dtype=float)
-    probs = probs / probs.sum()
+    marginal = counter_marginal(pre)
+    keys = np.indices(marginal.shape).reshape(marginal.ndim, -1).T
+    probs = marginal.ravel() / marginal.sum()
 
     rng = np.random.default_rng(seed)
     draws = rng.choice(len(keys), size=n_pulses, p=probs)
@@ -284,7 +279,7 @@ def simulate_triple_rate(
     detected = rng.binomial(occ_per_pulse, params.eta_d)
     n_triples = int(np.sum(np.all(detected >= 1, axis=1)))
 
-    p_analytic = click_pattern_distribution(chi, params, cutoff=cutoff)[(1, 1, 1)]
+    p_analytic = pattern_probabilities(marginal, params.eta_d)[(1, 1, 1)]
     return ClickSimulation(
         n_pulses=n_pulses, n_triples=n_triples, p_analytic=p_analytic
     )

@@ -219,6 +219,19 @@ def test_bad_env_seed(tmp_path, capsys, monkeypatch):
     assert "RAILBRIDGE_SEED" in json.loads(stderr)["error"]["message"]
 
 
+
+def test_simulate_exact_cutoff_one_fails_as_json(tmp_path, capsys):
+    code, stdout, stderr = run(
+        capsys, "simulate", "--cutoff", "1", "--out", str(tmp_path / "o")
+    )
+    assert code == 1
+    assert stdout == ""
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ValueError" and error["command"] == "simulate"
+    assert "cutoff >= 2" in error["message"]
+
 def test_pipeline_full_run(tmp_path, capsys):
     out = str(tmp_path / "pipe")
     code, stdout, _ = run(capsys, "pipeline", "--out", out, "--seed", "11",

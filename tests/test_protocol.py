@@ -36,6 +36,7 @@ from railbridge.protocol import (
     ideal_swap_target,
     ideal_swap_target_qubit,
     ideal_teleport_target,
+    predetection_state,
     simulated_triple_breakdown,
     single_rail_bell_measurement,
     swap_entanglement,
@@ -514,3 +515,18 @@ def test_single_rail_measurement_resolves_the_sign():
     dist = single_rail_bell_measurement(lone)
     assert dist[(1, 0)] == pytest.approx(0.5, abs=1e-12)
     assert dist[(0, 1)] == pytest.approx(0.5, abs=1e-12)
+
+
+def test_exact_order_rejects_cutoff_below_two():
+    # cutoff 1 cannot hold the double-pair impostors; exact order must refuse
+    # it rather than report their absence as perfect fidelity
+    chi = INPUT_STATES["D"]
+    with pytest.raises(ValueError, match="cutoff >= 2"):
+        teleport(chi, EXACT, cutoff=1)
+    with pytest.raises(ValueError, match="cutoff >= 2"):
+        swap_entanglement(EXACT, cutoff=1)
+    with pytest.raises(ValueError, match="cutoff >= 2"):
+        predetection_state(chi, EXACT, cutoff=1)
+    # the perturbative order has no double pairs to lose
+    rho, p = teleport(chi, PERT, cutoff=1)
+    assert p > 0.0 and rho.register.cutoffs == (1,)
