@@ -32,7 +32,6 @@ from .protocol import (
     INPUT_STATES,
     QubitSpec,
     SourceParams,
-    bell_projection,
     click_pattern_distribution,
     hom_visibility,
     ideal_swap_target_qubit,
@@ -45,7 +44,6 @@ from .protocol import (
 )
 from .homodyne import (
     QuadratureDataset,
-    QuadratureSample,
     phase_estimate,
     quadrature_pdf,
     sample,

@@ -5,19 +5,23 @@ output directory: rerunning with the same inputs reproduces the same
 CSV/JSON bytes, and each directory gets exactly one manifest recording the
 effective config, the resolved seed and the files written. All JSON
 artifacts name and validate against a schema shipped with the package.
+Everything runs on the calling thread; `pipeline` handles its six
+teleport inputs one after another.
 
 Failures print a machine-readable error object to stderr and exit nonzero;
 parse errors in config, CSV or JSON inputs carry line information where
-the underlying reader provides it.
+the underlying reader provides it. A failed run removes the output
+directory, and any parents, that it created; a directory that already
+existed stays.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import datetime as _dt
 import json
 import os
+import shutil
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -452,19 +456,10 @@ def cmd_pipeline(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
     seed = resolve_seed(config)
     outputs: List[str] = []
     inputs: Dict[str, dict] = {}
-    # the six teleport inputs are independent; run them concurrently with
-    # per-state seeds so scheduling cannot affect any output byte
-    with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
-        futures = {
-            name: pool.submit(
-                _pipeline_teleport_state, name, idx, config, seed, out_dir
-            )
-            for idx, name in enumerate(INPUT_STATES)
-        }
-        for name in INPUT_STATES:
-            fname, row = futures[name].result()
-            outputs.append(fname)
-            inputs[name] = row
+    for idx, name in enumerate(INPUT_STATES):
+        fname, row = _pipeline_teleport_state(name, idx, config, seed, out_dir)
+        outputs.append(fname)
+        inputs[name] = row
     swap_outputs, swap_section = _pipeline_swap(config, seed, out_dir)
     outputs.extend(swap_outputs)
     report = {
@@ -602,11 +597,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _outermost_missing(path: str) -> Optional[str]:
+    """The outermost directory that creating `path` would add, if any."""
+    path, top = os.path.abspath(path), None
+    while not os.path.exists(path):
+        top, path = path, os.path.dirname(path)
+    return top
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    created = _outermost_missing(args.out)
     try:
         config = _effective_config(args)
         os.makedirs(args.out, exist_ok=True)
@@ -618,6 +622,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(text)
         return 0
     except (ConfigError, ValueError, OSError, jsonschema.ValidationError) as exc:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         error = {
             "error": {
                 "type": type(exc).__name__,

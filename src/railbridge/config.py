@@ -17,8 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict, Optional
 
-from .protocol import SourceParams
+from .protocol import DEFAULT_CUTOFF, SourceParams
 from .rates import RateModel
+
+# the bench values live on the physics dataclasses; Config reads them there
+_SOURCE = SourceParams()
+_RATES = RateModel()
 
 
 class ConfigError(ValueError):
@@ -28,13 +32,13 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Config:
     # simulation
-    gamma1: float = 0.20
-    gamma23: float = 0.054
-    alpha: Optional[float] = None  # none -> balanced drive (= gamma1)
-    alpha_phase: float = 0.0
-    eta_d: float = 0.03
-    order: str = "exact"
-    cutoff: int = 2
+    gamma1: float = _SOURCE.gamma1
+    gamma23: float = _SOURCE.gamma23
+    alpha: Optional[float] = _SOURCE.alpha  # none -> balanced drive (= gamma1)
+    alpha_phase: float = _SOURCE.phi_alpha
+    eta_d: float = _SOURCE.eta_d
+    order: str = _SOURCE.order
+    cutoff: int = DEFAULT_CUTOFF
     # homodyne and reconstruction
     eta: float = 0.5
     tomo_cutoff: int = 4
@@ -42,12 +46,12 @@ class Config:
     # seed is tri-state: flag > file > RAILBRIDGE_SEED env > 0
     seed: Optional[int] = None
     # bench rates
-    R_L: float = 76e6
-    R_alpha: float = 22e3
-    R_gamma1: float = 22e3
-    R_gamma23: float = 1.7e3
-    R_cc: float = 51.0
-    projector_loss_factor: float = 4.0
+    R_L: float = _RATES.R_L
+    R_alpha: float = _RATES.R_alpha
+    R_gamma1: float = _RATES.R_gamma1
+    R_gamma23: float = _RATES.R_gamma23
+    R_cc: float = _RATES.R_cc
+    projector_loss_factor: float = _RATES.projector_loss_factor
 
     def __post_init__(self) -> None:
         if self.order not in ("pert", "exact"):
@@ -180,11 +184,4 @@ def to_source_params(config: Config) -> SourceParams:
 
 
 def to_rate_model(config: Config) -> RateModel:
-    return RateModel(
-        R_L=config.R_L,
-        R_alpha=config.R_alpha,
-        R_gamma1=config.R_gamma1,
-        R_gamma23=config.R_gamma23,
-        R_cc=config.R_cc,
-        projector_loss_factor=config.projector_loss_factor,
-    )
+    return RateModel(**{f.name: getattr(config, f.name) for f in fields(RateModel)})

@@ -280,13 +280,6 @@ def branches(
     return keep_reg, rest_reg, t.reshape((keep_reg.dim,) + rest_reg.dims)
 
 
-def reduced_density(state: PureState, keep: Sequence[str]) -> DensityMatrix:
-    """Reduced density matrix of a pure state on the kept modes."""
-    keep_reg, _, t = branches(state, keep)
-    m = t.reshape(keep_reg.dim, -1)
-    return DensityMatrix(keep_reg, m @ m.conj().T)
-
-
 def project_density(
     rho: DensityMatrix, bra: PureState, allow_null: bool = False
 ) -> Tuple[DensityMatrix, float]:
@@ -404,22 +397,6 @@ def loss_channel(eta: float, cutoff: int) -> QuantumChannel:
         if np.any(K):
             ops.append(K)
     return QuantumChannel(tuple(ops))
-
-
-def expectation(rho: DensityMatrix, operator: np.ndarray, atol: float = 1e-10) -> float:
-    """Real expectation value Tr[rho O] of a Hermitian operator."""
-    if operator.shape != rho.matrix.shape:
-        raise ValueError("operator dimension does not match the register")
-    if np.max(np.abs(operator - operator.conj().T)) > atol:
-        raise ValueError("operator is not Hermitian within tolerance")
-    return float(np.real(np.trace(rho.matrix @ operator)))
-
-
-def number_operator(register: ModeRegister, mode: str) -> np.ndarray:
-    """Photon-number operator of one mode on the full register."""
-    d = register.dims[register.index(mode)]
-    n_op = np.diag(np.arange(d, dtype=float))
-    return embed_operator(n_op, register, [mode])
 
 
 def density_to_json_dict(rho: DensityMatrix) -> dict:

@@ -1,9 +1,11 @@
 """Balanced-homodyne statistics for a single optical mode.
 
 Exact quadrature distributions of a truncated density matrix, seeded
-synthetic datasets drawn by inverse-CDF sampling on a grid, CSV
-import/export, and phase estimation from the angle dependence of the
-windowed mean quadrature.
+synthetic datasets drawn by inverse-CDF sampling on a grid (one bisection
+per draw against that draw's own phase, whether the phases are uniform or
+fixed), CSV import/export, and phase estimation from the angle dependence
+of the windowed mean quadrature. A dataset is two float arrays, the phases
+and the quadrature values.
 
 Conventions: [q, p] = i, X_theta = q cos(theta) + p sin(theta), vacuum
 variance 1/2. The number-state wavefunctions are the Hermite functions
@@ -81,40 +83,52 @@ def quadrature_pdf(rho: DensityMatrix, theta: float) -> Callable[[object], objec
     return pdf
 
 
-@dataclass(frozen=True)
-class QuadratureSample:
-    theta: float
-    x: float
-
-
 @dataclass
 class QuadratureDataset:
-    """Homodyne samples plus the efficiency they were recorded at."""
+    """Homodyne samples plus the efficiency they were recorded at.
 
-    samples: List[QuadratureSample]
+    ``theta`` and ``x`` are equal-length 1-D float arrays: sample j was
+    recorded at phase theta[j] with quadrature value x[j].
+    """
+
+    theta: np.ndarray
+    x: np.ndarray
     eta_assumed: float = 1.0
     source_label: str = ""
 
+    def __post_init__(self) -> None:
+        self.theta = np.asarray(self.theta, dtype=float)
+        self.x = np.asarray(self.x, dtype=float)
+        if self.theta.ndim != 1 or self.theta.shape != self.x.shape:
+            raise ValueError(
+                f"theta and x must be 1-D arrays of equal length, got shapes "
+                f"{self.theta.shape} and {self.x.shape}"
+            )
+
     def __len__(self) -> int:
-        return len(self.samples)
+        return len(self.theta)
 
     def thetas(self) -> np.ndarray:
-        return np.array([s.theta for s in self.samples], dtype=float)
+        return self.theta
 
     def values(self) -> np.ndarray:
-        return np.array([s.x for s in self.samples], dtype=float)
+        return self.x
 
     def write_csv(self, path) -> None:
+        # .tolist() yields Python floats, whose repr is the shortest
+        # round-tripping form
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("theta_rad,x\n")
-            for s in self.samples:
-                fh.write(f"{s.theta!r},{s.x!r}\n")
+            fh.writelines(
+                f"{t!r},{x!r}\n" for t, x in zip(self.theta.tolist(), self.x.tolist())
+            )
 
     @classmethod
     def read_csv(
         cls, path, eta_assumed: float = 1.0, source_label: str = ""
     ) -> "QuadratureDataset":
-        samples: List[QuadratureSample] = []
+        thetas: List[float] = []
+        xs: List[float] = []
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "theta_rad,x":
@@ -132,8 +146,9 @@ class QuadratureDataset:
                     raise ValueError(f"{path}: line {lineno}: {exc}") from None
                 if not (math.isfinite(theta) and math.isfinite(x)):
                     raise ValueError(f"{path}: line {lineno}: non-finite value")
-                samples.append(QuadratureSample(theta, x))
-        return cls(samples, eta_assumed=eta_assumed, source_label=source_label)
+                thetas.append(theta)
+                xs.append(x)
+        return cls(thetas, xs, eta_assumed=eta_assumed, source_label=source_label)
 
 
 def _phase_coefficients(matrix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -154,17 +169,6 @@ def _cumulative_kernel(psi: np.ndarray, xgrid: np.ndarray) -> np.ndarray:
     d = psi.shape[0]
     kernel = (psi[:, None, :] * psi[None, :, :]).reshape(d * d, -1)
     return cumulative_trapezoid(kernel, x=xgrid, axis=1, initial=0.0)
-
-
-def _normalized_cdf_rows(cdf: np.ndarray) -> np.ndarray:
-    totals = cdf[:, -1].copy()
-    worst = float(np.max(np.abs(totals - 1.0)))
-    if worst > 1e-3:
-        raise GridError(
-            f"grid integral off by {worst:.3e}; widen or refine the sampling grid"
-        )
-    cdf /= totals[:, None]
-    return cdf
 
 
 def _row_cdf_at(coeff: np.ndarray, kernel_rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -218,44 +222,35 @@ def sample(
     else:
         thetas = np.full(n_samples, float(phase_mode))
 
-    if not isinstance(phase_mode, str):
-        # one distribution shared by every draw
-        cdf = _normalized_cdf_rows(_phase_coefficients(matrix, thetas[:1]) @ cumkernel)[0]
-        u = rng.random(n_samples)
-        idx = np.clip(np.searchsorted(cdf, u, side="left"), 1, g - 1)
-        xs = _interp_inverse(cdf[idx - 1], cdf[idx], xgrid[idx - 1], xgrid[idx], u)
-    else:
-        # Every draw has its own phase, hence its own CDF row. Tabulating
-        # those rows costs gigabytes of gemm traffic at 1e5 draws, so invert
-        # by first-crossing bisection instead, evaluating each row only at
-        # the ~log2(g) probed grid points.
-        coeff = _phase_coefficients(matrix, thetas)
-        kernel_rows = np.ascontiguousarray(cumkernel.T)
-        totals = coeff @ kernel_rows[-1]
-        worst = float(np.max(np.abs(totals - 1.0)))
-        if worst > 1e-3:
-            raise GridError(
-                f"grid integral off by {worst:.3e}; widen or refine the sampling grid"
-            )
-        # search for the unnormalized crossing cdf(x) = u * total instead of
-        # dividing every row through by its total
-        u = rng.random(n_samples) * totals
-        lo_i = np.zeros(n_samples, dtype=np.intp)
-        hi_i = np.full(n_samples, g - 1, dtype=np.intp)
-        while True:
-            narrow = (hi_i - lo_i) > 1
-            if not narrow.any():
-                break
-            mid = (lo_i + hi_i) >> 1
-            right = _row_cdf_at(coeff, kernel_rows, mid) < u
-            lo_i = np.where(narrow & right, mid, lo_i)
-            hi_i = np.where(narrow & ~right, mid, hi_i)
-        lo_c = _row_cdf_at(coeff, kernel_rows, lo_i)
-        hi_c = _row_cdf_at(coeff, kernel_rows, hi_i)
-        xs = _interp_inverse(lo_c, hi_c, xgrid[lo_i], xgrid[hi_i], u)
-
-    samples = [QuadratureSample(float(t), float(x)) for t, x in zip(thetas, xs)]
-    return QuadratureDataset(samples, eta_assumed=eta, source_label=source_label)
+    # Every draw has its own phase, hence its own CDF row. Tabulating those
+    # rows costs gigabytes of gemm traffic at 1e5 draws, so invert by
+    # first-crossing bisection instead, evaluating each row only at the
+    # ~log2(g) probed grid points.
+    coeff = _phase_coefficients(matrix, thetas)
+    kernel_rows = np.ascontiguousarray(cumkernel.T)
+    totals = coeff @ kernel_rows[-1]
+    worst = float(np.max(np.abs(totals - 1.0)))
+    if worst > 1e-3:
+        raise GridError(
+            f"grid integral off by {worst:.3e}; widen or refine the sampling grid"
+        )
+    # search for the unnormalized crossing cdf(x) = u * total instead of
+    # dividing every row through by its total
+    u = rng.random(n_samples) * totals
+    lo_i = np.zeros(n_samples, dtype=np.intp)
+    hi_i = np.full(n_samples, g - 1, dtype=np.intp)
+    while True:
+        narrow = (hi_i - lo_i) > 1
+        if not narrow.any():
+            break
+        mid = (lo_i + hi_i) >> 1
+        right = _row_cdf_at(coeff, kernel_rows, mid) < u
+        lo_i = np.where(narrow & right, mid, lo_i)
+        hi_i = np.where(narrow & ~right, mid, hi_i)
+    lo_c = _row_cdf_at(coeff, kernel_rows, lo_i)
+    hi_c = _row_cdf_at(coeff, kernel_rows, hi_i)
+    xs = _interp_inverse(lo_c, hi_c, xgrid[lo_i], xgrid[hi_i], u)
+    return QuadratureDataset(thetas, xs, eta_assumed=eta, source_label=source_label)
 
 
 @dataclass(frozen=True)

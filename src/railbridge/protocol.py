@@ -48,10 +48,8 @@ from .fock import (
     DensityMatrix,
     ModeRegister,
     NullOutcomeError,
-    Occupation,
     PureState,
     branches,
-    norm,
     normalize,
     project,
     tensor,
@@ -400,18 +398,6 @@ def bell_project_physical(
     """Run the physical circuit and condition on the two-counter coincidence."""
     out = apply_bell_circuit(state)
     return condition_on_clicks(out, BELL_CLICK_MODES, eta_d, keep)
-
-
-def bell_projection(
-    state: PureState,
-    physical: bool = False,
-    eta_d: float = 1.0,
-    keep: Sequence[str] = ("B",),
-):
-    """Dispatch between the rank-1 projector and the physical circuit."""
-    if physical:
-        return bell_project_physical(state, eta_d, keep)
-    return bell_project_ideal(state)
 
 
 # ------------------------------------------------------------- teleportation
@@ -817,22 +803,3 @@ def bell_visibility_scan(
     )
     c, *_ = np.linalg.lstsq(design, np.asarray(probs), rcond=None)
     return float(math.hypot(c[1], c[2]) / c[0])
-
-
-def single_rail_bell_measurement(state: PureState) -> Dict[Occupation, float]:
-    """Outcome distribution of two single-rail modes mixed on a t=1/2 splitter.
-
-    (|0,1> + |1,0>)/sqrt2 always fires the first counter,
-    (|0,1> - |1,0>)/sqrt2 always the second: the splitter converts the
-    single-rail phase into which-detector information.
-    """
-    reg = state.register
-    if reg.n_modes != 2:
-        raise ValueError("expected a register with exactly two modes")
-    out = beam_splitter(state, reg.labels[0], reg.labels[1], 0.5)
-    total = norm(out) ** 2
-    return {
-        occ: abs(a) ** 2 / total
-        for occ, a in out.amps.items()
-        if abs(a) ** 2 / total > 1e-24
-    }

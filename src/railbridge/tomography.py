@@ -17,7 +17,7 @@ iteration costs two thin real matrix-vector products over the dataset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -25,18 +25,12 @@ from scipy.special import eval_genlaguerre, eval_laguerre
 
 from .fock import DensityMatrix, ModeRegister, density_to_json_dict, loss_channel
 from .homodyne import QuadratureDataset, hermite_functions
+from .protocol import INPUT_STATES
 
-_S = 1.0 / math.sqrt(2.0)
-
-# polarisation analysis settings for the joint reconstruction; occupation
-# 0 = H, 1 = V, matching the protocol module's qubit layout
+# polarisation analysis settings for the joint reconstruction: the six
+# canonical qubit states, occupation 0 = H, 1 = V
 ANALYSIS_SETTINGS: Mapping[str, np.ndarray] = {
-    "H": np.array([1.0, 0.0], dtype=complex),
-    "V": np.array([0.0, 1.0], dtype=complex),
-    "D": np.array([_S, _S], dtype=complex),
-    "A": np.array([_S, -_S], dtype=complex),
-    "R": np.array([_S, 1j * _S], dtype=complex),
-    "L": np.array([_S, -1j * _S], dtype=complex),
+    name: np.array([q.a, q.b], dtype=complex) for name, q in INPUT_STATES.items()
 }
 
 _P_FLOOR = 1e-300
@@ -310,25 +304,6 @@ def entanglement_witness(rho: DensityMatrix) -> Dict[str, object]:
         "entangled": bool(fid > 0.5),
         "optimal_phase": float(-np.angle(coherence)) if abs(coherence) > 0 else 0.0,
     }
-
-
-def efficiency_drift_report(
-    data: QuadratureDataset,
-    target: DensityMatrix,
-    opts: ReconstructionOptions,
-    etas: Sequence[float] = (0.475, 0.5, 0.525),
-) -> Dict[str, object]:
-    """Fidelity to the target across an efficiency window.
-
-    The spread quantifies how much the corrected reconstruction moves if
-    the assumed efficiency drifts; reported alongside the central value.
-    """
-    fids = {}
-    for eta in etas:
-        res = maxlik_reconstruct(data, replace(opts, eta_correction=eta))
-        fids[float(eta)] = fidelity(res.rho, target)
-    vals = list(fids.values())
-    return {"fidelities": fids, "spread": max(vals) - min(vals)}
 
 
 def result_to_json_dict(result: ReconstructionResult) -> dict:

@@ -3,10 +3,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import railbridge
 from railbridge.cli import main, validate_artifact
 from railbridge.config import Config, format_config
 from railbridge.fock import (
@@ -232,6 +235,19 @@ def test_simulate_exact_cutoff_one_fails_as_json(tmp_path, capsys):
     assert error["type"] == "ValueError" and error["command"] == "simulate"
     assert "cutoff >= 2" in error["message"]
 
+
+def test_failed_run_removes_only_the_directory_it_created(tmp_path, capsys):
+    for out in ("fresh", os.path.join("nested", "run")):
+        assert run(capsys, "simulate", "--cutoff", "1", "--out", str(tmp_path / out))[0] == 1
+    assert os.listdir(tmp_path) == []
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("keep me\n")
+    assert run(capsys, "simulate", "--cutoff", "1", "--out", str(kept))[0] == 1
+    assert os.listdir(kept) == ["notes.txt"]
+    assert (kept / "notes.txt").read_text() == "keep me\n"
+
+
 def test_pipeline_full_run(tmp_path, capsys):
     out = str(tmp_path / "pipe")
     code, stdout, _ = run(capsys, "pipeline", "--out", out, "--seed", "11",
@@ -263,3 +279,29 @@ def test_pipeline_outputs_reproducible(tmp_path, capsys):
         with open(os.path.join(a, name), "rb") as fa, \
              open(os.path.join(b, name), "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+def test_pipeline_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # one run pinned to one OpenBLAS thread, one at the library's default
+    src = os.path.dirname(os.path.dirname(railbridge.__file__))
+    outs = []
+    for threads in ("1", None):
+        env = dict(os.environ)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads-{threads or 'default'}"
+        subprocess.run(
+            [sys.executable, "-m", "railbridge.cli", "pipeline", "--seed", "3",
+             "--samples", "200", "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outs.append(out)
+    a, b = outs
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    for name in names:
+        if name == "manifest.json":
+            continue  # carries timestamps
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name

@@ -17,14 +17,11 @@ from railbridge.fock import (
     apply_channel,
     density_from_json_dict,
     density_to_json_dict,
-    expectation,
     loss_channel,
     normalize,
-    number_operator,
     partial_trace,
     project,
     project_density,
-    reduced_density,
     tensor,
     to_density,
     vacuum,
@@ -184,15 +181,6 @@ def test_partial_trace_of_entangled_pair_is_maximally_mixed():
     assert np.max(np.abs(ra.matrix - 0.5 * np.eye(2))) < 1e-12
 
 
-def test_reduced_density_matches_dense_partial_trace():
-    rng = np.random.default_rng(5)
-    for _ in range(6):
-        psi = random_pure(rng, ["x", "y", "z"], 2, n_terms=10)
-        direct = reduced_density(psi, ["y"])
-        via_dense = partial_trace(to_density(psi), ["y"])
-        assert np.max(np.abs(direct.matrix - via_dense.matrix)) < 1e-12
-
-
 def test_partial_trace_keep_order_controls_output_order():
     rng = np.random.default_rng(9)
     psi = random_pure(rng, ["x", "y"], 1, n_terms=4)
@@ -261,31 +249,6 @@ def test_channel_positivity_and_trace_on_random_states():
         assert abs(out.trace() - 1.0) < 1e-10
         w = np.linalg.eigvalsh(0.5 * (out.matrix + out.matrix.conj().T))
         assert w.min() > -1e-12
-
-
-# -------------------------------------------------------------- expectation
-
-
-def test_expectation_photon_number():
-    reg = ModeRegister.uniform(["a"], 3)
-    rho = to_density(PureState(reg, {(1,): 1.0 + 0.0j}))
-    assert abs(expectation(rho, number_operator(reg, "a")) - 1.0) < 1e-12
-
-
-def test_expectation_rejects_non_hermitian():
-    reg = ModeRegister.uniform(["a"], 1)
-    rho = to_density(vacuum(reg))
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError):
-        expectation(rho, bad)
-
-
-def test_number_operator_on_two_mode_register():
-    reg = ModeRegister.uniform(["a", "b"], 2)
-    psi = PureState(reg, {(2, 1): 1.0 + 0.0j})
-    rho = to_density(psi)
-    assert abs(expectation(rho, number_operator(reg, "a")) - 2.0) < 1e-12
-    assert abs(expectation(rho, number_operator(reg, "b")) - 1.0) < 1e-12
 
 
 # ------------------------------------------------------------ sparse vs dense

@@ -12,7 +12,6 @@ from railbridge.homodyne import (
     GridError,
     PhaseEstimate,
     QuadratureDataset,
-    QuadratureSample,
     hermite_functions,
     phase_accuracy_curve,
     phase_estimate,
@@ -194,13 +193,26 @@ def test_csv_round_trip_and_errors(tmp_path):
         QuadratureDataset.read_csv(bad)
 
 
+def test_dataset_needs_equal_length_1d_arrays():
+    with pytest.raises(ValueError, match="equal length"):
+        QuadratureDataset(np.zeros(3), np.zeros(2))
+    with pytest.raises(ValueError, match="1-D"):
+        QuadratureDataset(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="1-D"):
+        QuadratureDataset(0.1, 0.2)
+
+
+def test_write_csv_exact_bytes(tmp_path):
+    # Python float reprs, never numpy scalar reprs such as np.float64(0.1)
+    path = tmp_path / "two.csv"
+    QuadratureDataset(np.array([0.1, 2 / 3]), np.array([-1.5, 1e-300])).write_csv(path)
+    assert path.read_bytes() == b"theta_rad,x\n0.1,-1.5\n0.6666666666666666,1e-300\n"
+
+
 def test_phase_estimate_exact_on_noiseless_curve():
     phi, amp = 1.234, 0.3
     thetas = np.linspace(0.0, 2 * math.pi, 40, endpoint=False)
-    samples = [
-        QuadratureSample(float(t), amp * math.cos(t + phi)) for t in thetas
-    ]
-    est = phase_estimate(QuadratureDataset(samples), window=1)
+    est = phase_estimate(QuadratureDataset(thetas, amp * np.cos(thetas + phi)), window=1)
     assert isinstance(est, PhaseEstimate)
     assert abs(wrap_phase(est.phi - phi)) < 1e-10
     assert abs(est.amplitude - amp) < 1e-10
@@ -217,7 +229,7 @@ def test_phase_estimate_monte_carlo_unbiased():
 
 
 def test_phase_estimate_requires_enough_windows():
-    ds = QuadratureDataset([QuadratureSample(0.1 * i, 0.0) for i in range(100)])
+    ds = QuadratureDataset(0.1 * np.arange(100), np.zeros(100))
     with pytest.raises(ValueError, match="windows"):
         phase_estimate(ds, window=50)
     with pytest.raises(ValueError):

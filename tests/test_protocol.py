@@ -38,7 +38,6 @@ from railbridge.protocol import (
     ideal_teleport_target,
     predetection_state,
     simulated_triple_breakdown,
-    single_rail_bell_measurement,
     swap_entanglement,
     swap_qubit_sector,
     teleport,
@@ -503,18 +502,6 @@ def test_bell_scan_pair_phase_degrades_diagonal_visibility():
     assert v_rect == pytest.approx(1.0, abs=1e-9)
     v_diag = bell_visibility_scan(PERT, "diagonal", delta_phi=0.4)
     assert v_diag == pytest.approx(math.cos(0.4), abs=1e-9)
-
-
-def test_single_rail_measurement_resolves_the_sign():
-    reg = ModeRegister.uniform(["u", "w"], 2)
-    plus = normalize(PureState(reg, {(0, 1): 1.0 + 0.0j, (1, 0): 1.0 + 0.0j}))
-    minus = normalize(PureState(reg, {(0, 1): 1.0 + 0.0j, (1, 0): -1.0 + 0.0j}))
-    assert single_rail_bell_measurement(plus) == pytest.approx({(1, 0): 1.0})
-    assert single_rail_bell_measurement(minus) == pytest.approx({(0, 1): 1.0})
-    lone = PureState(reg, {(0, 1): 1.0 + 0.0j})
-    dist = single_rail_bell_measurement(lone)
-    assert dist[(1, 0)] == pytest.approx(0.5, abs=1e-12)
-    assert dist[(0, 1)] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_exact_order_rejects_cutoff_below_two():
