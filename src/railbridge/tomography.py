@@ -10,15 +10,18 @@ The iteration is the standard expectation-maximization fixed point
 rho <- N[R rho R] with R(rho) = (1/N) sum_j Pi_j / Tr[rho Pi_j], run
 undiluted by default and falling back to R -> (I + R)/2 if a step ever
 lowers the likelihood. Each sample's measurement operator is contracted
-with the loss channel once, up front, into a real coefficient row, so an
-iteration costs two thin real matrix-vector products over the dataset.
+with the loss channel once, up front, into a real row of (c+1)^2 packed
+coordinates, so an iteration costs two thin real matrix-vector products
+over the dataset. A joint element |s><s| x Pi_j reads only <s|rho|s>, so
+the joint fit keeps (c+1)^2 columns per setting s, plus one fixed real map
+from packed joint rho to packed <s|rho|s> (the identity for one mode).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 from scipy.special import eval_genlaguerre, eval_laguerre
@@ -99,13 +102,14 @@ def _sample_vectors(thetas: np.ndarray, xs: np.ndarray, cutoff: int) -> np.ndarr
 
 
 def _pack_hermitian(a: np.ndarray, iu) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix.
+    """Real coordinates of a Hermitian matrix, or of a stack of them.
 
     Scaled so the packed dot product of two matrices equals Tr[A B]; that
     turns every Born probability into one real row-times-vector product.
     """
-    off = a[iu] * math.sqrt(2.0)
-    return np.concatenate([np.real(np.diagonal(a)), np.real(off), np.imag(off)])
+    off = a[..., iu[0], iu[1]] * math.sqrt(2.0)
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    return np.concatenate([np.real(diag), np.real(off), np.imag(off)], axis=-1)
 
 
 def _unpack_hermitian(h: np.ndarray, d: int, iu) -> np.ndarray:
@@ -117,9 +121,10 @@ def _unpack_hermitian(h: np.ndarray, d: int, iu) -> np.ndarray:
     return a
 
 
-def _feature_rows(vectors: np.ndarray, kraus: Sequence[np.ndarray], iu) -> np.ndarray:
+def _feature_rows(vectors: np.ndarray, kraus: Sequence[np.ndarray]) -> np.ndarray:
     """Packed loss-contracted POVM element of every sample, one real row each."""
     n, d = vectors.shape
+    iu = np.triu_indices(d, k=1)
     n_off = (d * (d - 1)) // 2
     feats = np.zeros((n, d + 2 * n_off))
     for K in kraus:
@@ -131,36 +136,53 @@ def _feature_rows(vectors: np.ndarray, kraus: Sequence[np.ndarray], iu) -> np.nd
     return feats
 
 
+def _setting_maps(settings: np.ndarray, d: int) -> np.ndarray:
+    """Real map (S d^2, D^2) from packed joint rho to packed <s|rho|s> of every setting.
+
+    Row (s, i) is pack(|s><s| x b_i) for the dual basis b_i of the packed
+    coordinates, so its dot product with pack(rho) is pack(<s|rho|s>)_i.
+    """
+    dim = settings.shape[1] * d
+    basis = np.array([_unpack_hermitian(e, d, np.triu_indices(d, k=1)) for e in np.eye(d * d)])
+    proj = np.einsum("sa,sb->sab", settings, settings.conj())
+    lifted = np.einsum("sab,imn->siambn", proj, basis).reshape(-1, dim, dim)
+    return _pack_hermitian(lifted, np.triu_indices(dim, k=1))
+
+
 def _run_maxlik(
-    vectors: np.ndarray, kraus: Sequence[np.ndarray], opts: ReconstructionOptions
-) -> Tuple[np.ndarray, int, List[float], bool, int, int]:
-    n, d = vectors.shape
-    iu = np.triu_indices(d, k=1)
-    feats = _feature_rows(vectors, kraus, iu)
+    feats: np.ndarray, to_setting: np.ndarray, opts: ReconstructionOptions,
+    reg: ModeRegister,
+) -> ReconstructionResult:
+    """Fit rho to per-setting feature rows feats (S, N_s, d^2) read through to_setting."""
+    n_set, n_per, width = feats.shape
+    dim = math.isqrt(to_setting.shape[1])
+    iu = np.triu_indices(dim, k=1)
 
-    def stats(rho: np.ndarray) -> Tuple[np.ndarray, float, int]:
-        p = feats @ _pack_hermitian(rho, iu)
-        floored = int(np.count_nonzero(p < _P_FLOOR))
-        p = np.maximum(p, _P_FLOOR)
-        return p, float(np.log(p).sum()), floored
+    def loglik_into(rho: np.ndarray, p: np.ndarray) -> float:
+        q = (to_setting @ _pack_hermitian(rho, iu)).reshape(n_set, width, 1)
+        np.maximum(np.matmul(feats, q, out=p), _P_FLOOR, out=p)
+        return float(np.log(p).sum())
 
-    rho = np.eye(d, dtype=complex) / d
-    p, loglik, floored = stats(rho)
+    p, p_new, weights = (np.empty((n_set, n_per, 1)) for _ in range(3))
+    rho = np.eye(dim, dtype=complex) / dim
+    loglik = loglik_into(rho, p)
     trace = [loglik]
     dilution = opts.dilution
-    eye = np.eye(d)
+    eye = np.eye(dim)
     converged = False
     rejected = 0
     iterations = 0
     while iterations < opts.max_iter:
         iterations += 1
-        r_op = _unpack_hermitian(feats.T @ (1.0 / (n * p)), d, iu)
+        np.divide(1.0, np.multiply(p, n_set * n_per, out=weights), out=weights)
+        grad = np.matmul(feats.transpose(0, 2, 1), weights).ravel()
+        r_op = _unpack_hermitian(to_setting.T @ grad, dim, iu)
         if dilution < 1.0:
             r_op = (1.0 - dilution) * eye + dilution * r_op
         cand = r_op @ rho @ r_op
         cand = 0.5 * (cand + cand.conj().T)
         cand /= np.real(np.trace(cand))
-        p_new, loglik_new, floored_new = stats(cand)
+        loglik_new = loglik_into(cand, p_new)
         # the accepted trace never drops by more than this slack
         if loglik_new < loglik - 1e-9:
             rejected += 1
@@ -169,12 +191,17 @@ def _run_maxlik(
                 continue
             break
         gain = loglik_new - loglik
-        rho, p, loglik, floored = cand, p_new, loglik_new, floored_new
+        rho, loglik = cand, loglik_new
+        p, p_new = p_new, p
         trace.append(loglik)
         if gain <= opts.tol * abs(loglik):
             converged = True
             break
-    return rho, iterations, trace, converged, floored, rejected
+    floored = int(np.count_nonzero(p <= _P_FLOOR))  # p of the accepted rho
+    return ReconstructionResult(
+        DensityMatrix(reg, rho), iterations, trace, converged,
+        opts.eta_correction, floored, rejected,
+    )
 
 
 def maxlik_reconstruct(
@@ -184,13 +211,9 @@ def maxlik_reconstruct(
     if len(data) == 0:
         raise ValueError("cannot reconstruct from an empty dataset")
     vectors = _sample_vectors(data.thetas(), data.values(), opts.cutoff)
-    kraus = loss_channel(opts.eta_correction, opts.cutoff).kraus
-    rho, iters, trace, converged, floored, rejected = _run_maxlik(vectors, kraus, opts)
+    feats = _feature_rows(vectors, loss_channel(opts.eta_correction, opts.cutoff).kraus)
     reg = ModeRegister((opts.mode_label,), (opts.cutoff,))
-    return ReconstructionResult(
-        DensityMatrix(reg, rho), iters, trace, converged,
-        opts.eta_correction, floored, rejected,
-    )
+    return _run_maxlik(feats[None], np.eye((opts.cutoff + 1) ** 2), opts, reg)
 
 
 def joint_reconstruct_swapped(
@@ -202,26 +225,27 @@ def joint_reconstruct_swapped(
     Each dataset holds the quadratures recorded while the polarisation
     analyser projected onto the named qubit state; the product POVM
     (qubit projector) x (lossy quadrature projector) feeds one pooled
-    likelihood over all settings.
+    likelihood over all settings. That likelihood weighs every setting
+    alike, so all six datasets must hold the same number of samples.
     """
+    unknown = sorted(set(datasets) - set(ANALYSIS_SETTINGS))
+    if unknown:
+        raise ValueError(f"unknown analysis settings: {', '.join(unknown)}")
     missing = sorted(set(ANALYSIS_SETTINGS) - set(datasets))
     if missing:
         raise ValueError(f"missing analysis settings: {', '.join(missing)}")
-    blocks = []
-    for name, setting in ANALYSIS_SETTINGS.items():
-        ds = datasets[name]
-        if len(ds) == 0:
-            raise ValueError(f"analysis setting {name!r} has no samples")
-        v = _sample_vectors(ds.thetas(), ds.values(), opts.cutoff)
-        blocks.append(np.einsum("a,jn->jan", setting, v).reshape(len(ds), -1))
-    vectors = np.concatenate(blocks, axis=0)
-    kraus = [np.kron(np.eye(2), K) for K in loss_channel(opts.eta_correction, opts.cutoff).kraus]
-    rho, iters, trace, converged, floored, rejected = _run_maxlik(vectors, kraus, opts)
+    counts = [len(datasets[name]) for name in ANALYSIS_SETTINGS]
+    if min(counts) == 0 or len(set(counts)) > 1:
+        listed = ", ".join(f"{name}={n}" for name, n in zip(ANALYSIS_SETTINGS, counts))
+        raise ValueError(f"analysis settings need equal nonzero sample counts, got {listed}")
+    kraus = loss_channel(opts.eta_correction, opts.cutoff).kraus
+    feats = np.stack([
+        _feature_rows(_sample_vectors(ds.thetas(), ds.values(), opts.cutoff), kraus)
+        for ds in (datasets[name] for name in ANALYSIS_SETTINGS)
+    ])
+    to_setting = _setting_maps(np.array(list(ANALYSIS_SETTINGS.values())), opts.cutoff + 1)
     reg = ModeRegister(("D_pol", opts.mode_label), (1, opts.cutoff))
-    return ReconstructionResult(
-        DensityMatrix(reg, rho), iters, trace, converged,
-        opts.eta_correction, floored, rejected,
-    )
+    return _run_maxlik(feats, to_setting, opts, reg)
 
 
 def _psd_eigs(name: str, matrix: np.ndarray, tol: float = 1e-8):

@@ -21,6 +21,9 @@ from railbridge.tomography import (
     ANALYSIS_SETTINGS,
     ReconstructionOptions,
     ReconstructionResult,
+    _feature_rows,
+    _run_maxlik,
+    _sample_vectors,
     entanglement_witness,
     fidelity,
     joint_reconstruct_swapped,
@@ -214,6 +217,59 @@ def test_joint_reconstruction_missing_settings():
     del datasets["R"], datasets["L"]
     with pytest.raises(ValueError, match="L, R"):
         joint_reconstruct_swapped(datasets, ReconstructionOptions(cutoff=2))
+
+
+def test_joint_reconstruction_unknown_settings():
+    rho = ideal_joint_state()
+    datasets = joint_datasets(rho, 100, eta=1.0, seed=42)
+    datasets["X"] = datasets["Y"] = datasets["H"]
+    with pytest.raises(ValueError, match="unknown analysis settings: X, Y"):
+        joint_reconstruct_swapped(datasets, ReconstructionOptions(cutoff=2))
+
+
+def test_joint_reconstruction_unequal_counts():
+    # a pooled fit of these counts reaches fidelity 0.71 and reports converged
+    rho = ideal_joint_state()
+    datasets = joint_datasets(rho, 4000, eta=1.0, seed=43)
+    for name, n in zip(ANALYSIS_SETTINGS, [3000, 500, 1000, 4000, 200, 2500]):
+        ds = datasets[name]
+        datasets[name] = QuadratureDataset(ds.theta[:n], ds.x[:n])
+    with pytest.raises(ValueError, match="H=3000, V=500, D=1000, A=4000, R=200, L=2500"):
+        joint_reconstruct_swapped(datasets, ReconstructionOptions(cutoff=2))
+
+
+def lifted_joint_fit(datasets, opts):
+    """The joint fit with every sample lifted to the 2(c+1)-dim space.
+
+    Each sample's POVM element |s><s| x Pi_j is packed in full, (2(c+1))^2
+    columns, and the loss channel acts as I_2 x K; the likelihood iteration
+    then runs on one setting with the identity map.
+    """
+    blocks = []
+    for name, setting in ANALYSIS_SETTINGS.items():
+        ds = datasets[name]
+        v = _sample_vectors(ds.thetas(), ds.values(), opts.cutoff)
+        blocks.append(np.einsum("a,jn->jan", setting, v).reshape(len(ds), -1))
+    kraus = loss_channel(opts.eta_correction, opts.cutoff).kraus
+    feats = _feature_rows(np.concatenate(blocks), [np.kron(np.eye(2), K) for K in kraus])
+    dim = 2 * (opts.cutoff + 1)
+    reg = ModeRegister(("D_pol", "B"), (1, opts.cutoff))
+    return _run_maxlik(feats[None], np.eye(dim * dim), opts, reg)
+
+
+@pytest.mark.parametrize("cutoff", [2, 4])
+@pytest.mark.parametrize("eta", [1.0, 0.5])
+def test_factored_joint_fit_matches_lifted_oracle(cutoff, eta):
+    rho = ideal_joint_state(cutoff)
+    datasets = joint_datasets(rho, 1000, eta=eta, seed=44 + cutoff)
+    opts = ReconstructionOptions(cutoff=cutoff, eta_correction=eta)
+    res = joint_reconstruct_swapped(datasets, opts)
+    want = lifted_joint_fit(datasets, opts)
+    assert np.max(np.abs(res.rho.matrix - want.rho.matrix)) <= 1e-12
+    assert res.iterations == want.iterations
+    assert res.converged == want.converged
+    assert (res.floored_samples, res.rejected_steps) == (want.floored_samples, want.rejected_steps)
+    assert abs(res.final_loglik - want.final_loglik) <= 1e-9 * abs(want.final_loglik)
 
 
 # ---------------------------------------------------------------- fidelity
