@@ -33,7 +33,6 @@ from .protocol import (
     QubitSpec,
     SourceParams,
     click_pattern_distribution,
-    hom_visibility,
     ideal_swap_target_qubit,
     ideal_teleport_target,
     swap_entanglement,

@@ -55,6 +55,7 @@ from .protocol import (
     ideal_teleport_target,
     swap_entanglement,
     swap_qubit_sector,
+    target_overlap,
     teleport,
 )
 from .rates import calibration_report
@@ -116,7 +117,9 @@ def _load_density(path: str) -> DensityMatrix:
     for key in ("labels", "cutoff", "re", "im"):
         if key not in obj:
             raise ValueError(f"{path}: not a density-matrix JSON (missing {key!r})")
-    return density_from_json_dict(obj)
+    rho = density_from_json_dict(obj)
+    rho.validate()
+    return rho
 
 
 def resolve_seed(config: Config) -> int:
@@ -193,12 +196,6 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 # ------------------------------------------------------------- subcommands
 
 
-def _target_overlap(tvec: np.ndarray, rho: DensityMatrix) -> float:
-    # <t|rho|t> for unit-norm t and unit-trace rho: a pure target reached
-    # exactly can round one ulp above 1, which the schemas reject
-    return min(1.0, float(np.real(tvec.conj() @ rho.matrix @ tvec)))
-
-
 def cmd_simulate(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
     params = to_source_params(config)
     pert_params = replace(params, order="pert")
@@ -207,12 +204,12 @@ def cmd_simulate(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
     for name, chi in INPUT_STATES.items():
         rho, p = teleport(chi, params, cutoff=config.cutoff)
         tvec = ideal_teleport_target(chi, params, config.cutoff).dense()
-        f_conf = _target_overlap(tvec, rho)
+        f_conf = target_overlap(tvec, rho)
         if config.order == "pert":
             f_pert = f_conf
         else:
             rho_p, _ = teleport(chi, pert_params, cutoff=config.cutoff)
-            f_pert = _target_overlap(tvec, rho_p)
+            f_pert = target_overlap(tvec, rho_p)
         fname = f"state_{name}.json"
         _write_json(
             os.path.join(out_dir, fname), _density_file_dict(rho), "density-1"

@@ -28,20 +28,17 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .elements import (
     apply_pair_map,
-    beam_splitter,
     click_probability,
     coherent_state,
     half_wave_plate,
     polarising_bs,
     populate,
-    quarter_wave_plate,
     two_mode_squeezer,
 )
 from .fock import (
@@ -64,6 +61,8 @@ BELL_CLICK_MODES = ("A_H", "C_H")
 HERALD_CLICK_MODE = "D_H"
 # the three counters of a teleport run, in click-pattern order
 COUNTER_MODES = (*BELL_CLICK_MODES, HERALD_CLICK_MODE)
+# a click pattern less likely than this counts as never observed
+_MIN_CLICK_PROBABILITY = 1e-30
 
 
 @dataclass(frozen=True)
@@ -260,82 +259,45 @@ def herald_qubit(
 # --------------------------------------------------- conditional detection
 
 
-def _click_groups(clicks: Sequence[Union[str, Sequence[str]]]) -> Tuple[Tuple[str, ...], ...]:
-    groups = []
-    for g in clicks:
-        groups.append((g,) if isinstance(g, str) else tuple(g))
-    flat = [m for g in groups for m in g]
-    if len(set(flat)) != len(flat):
-        raise ValueError("click groups share modes")
-    return tuple(groups)
-
-
 def _click_weights(
-    reg: ModeRegister,
-    groups: Sequence[Tuple[str, ...]],
-    eta_d: float,
-    pattern: Sequence[int],
+    reg: ModeRegister, counters: Sequence[str], eta_d: float
 ) -> np.ndarray:
-    """Weight of a click pattern per occupation, broadcastable over ``reg``.
+    """Weight of a click in every listed counter, broadcastable over ``reg``.
 
-    A counter fires on the total photon number n of its modes with
-    click_probability(n, eta_d); bit 0 takes the complement.
+    Each counter watches one mode and fires on its photon number n with
+    click_probability(n, eta_d).
     """
     w = np.ones((1,) * reg.n_modes)
-    for g, bit in zip(groups, pattern):
-        c = click_probability(sum(reg.photons(m) for m in g), eta_d)
-        w = w * (c if bit else 1.0 - c)
+    for m in counters:
+        w = w * click_probability(reg.photons(m), eta_d)
     return w
 
 
 def condition_on_clicks(
     state: PureState,
-    clicks: Sequence[Union[str, Sequence[str]]],
+    clicks: Sequence[str],
     eta_d: float,
     keep: Sequence[str],
-    min_probability: float = 1e-30,
 ) -> Tuple[DensityMatrix, float]:
     """Conditional state of ``keep`` given a click in every listed detector.
 
-    Each entry of ``clicks`` is one counter; a sequence of labels means the
-    counter sees those modes jointly (click weight 1-(1-eta_d)^n on their
-    total photon number). Modes neither kept nor watched are traced out, as
-    for blocked polariser ports. ``state`` is assumed normalized; returns
-    the normalized conditional density matrix and the click probability.
+    Each entry of ``clicks`` is the mode one counter watches. Modes neither
+    kept nor watched are traced out, as for blocked polariser ports.
+    ``state`` is assumed normalized; returns the normalized conditional
+    density matrix and the click probability.
     """
-    groups = _click_groups(clicks)
-    if {m for g in groups for m in g} & set(keep):
+    if set(clicks) & set(keep):
         raise ValueError("click modes cannot also be kept")
     keep_reg, rest_reg, t = branches(state, keep)
-    w = _click_weights(rest_reg, groups, eta_d, (1,) * len(groups))
+    w = _click_weights(rest_reg, clicks, eta_d)
     m = t.reshape(keep_reg.dim, -1)
     rho = (t * w).reshape(keep_reg.dim, -1) @ m.conj().T
     p_total = float(np.real(np.trace(rho)))
-    if p_total < min_probability:
+    if p_total < _MIN_CLICK_PROBABILITY:
         raise NullOutcomeError(
             f"click pattern has probability {p_total:.3e}"
         )
     return DensityMatrix(keep_reg, rho / p_total), p_total
-
-
-def click_pattern_probability(
-    state: PureState,
-    clicks: Sequence[Union[str, Sequence[str]]],
-    eta_d: float,
-    pattern: Sequence[int],
-) -> float:
-    """Probability of a full click/no-click pattern on the listed counters.
-
-    All unlisted modes are traced out. Because both POVM outcomes are
-    diagonal in the Fock basis, the probability is a single weighted sum
-    of |amplitude|^2, with weight 1-(1-eta_d)^n per click and (1-eta_d)^n
-    per no-click.
-    """
-    groups = _click_groups(clicks)
-    if len(pattern) != len(groups):
-        raise ValueError("pattern length must match the number of counters")
-    w = _click_weights(state.register, groups, eta_d, pattern)
-    return float(np.sum(np.abs(state.array) ** 2 * w))
 
 
 # ---------------------------------------------------------- Bell projection
@@ -416,17 +378,19 @@ def _check_exact_cutoff(cutoff: int) -> None:
         )
 
 
-def _teleport_predetection_state(
+def predetection_state(
     chi: QubitSpec,
     params: SourceParams,
-    delta_phi: float,
-    cutoff: int,
+    delta_phi: float = 0.0,
+    cutoff: int = DEFAULT_CUTOFF,
 ) -> PureState:
-    """Everything up to (not including) the three counters, exact order.
+    """Exact-order state of all beams just before the three counters fire.
 
     The herald analysis rotation maps the D axis that announces ``chi``
     onto D_H, so the herald counter watches D_H and D_V holds the blocked
-    component.
+    component. The click arithmetic below consumes this state; rate checks
+    also thin its photons sample by sample instead of trusting the same
+    inclusion-exclusion formulas they are meant to validate.
     """
     _check_exact_cutoff(cutoff)
     params = _exact_params(params)
@@ -464,7 +428,7 @@ def teleport(
         joint = tensor(chi_a, build_resource_omega(params, cutoff))
         remainder, p_bell = bell_project_ideal(joint, allow_null=False)
         return to_density(remainder), p_herald * p_bell
-    pre = _teleport_predetection_state(chi, params, delta_phi, cutoff)
+    pre = predetection_state(chi, params, delta_phi, cutoff)
     return condition_on_clicks(pre, COUNTER_MODES, params.eta_d, keep=("B",))
 
 
@@ -480,6 +444,12 @@ def ideal_teleport_target(
     return normalize(PureState(reg, amps))
 
 
+def target_overlap(target: np.ndarray, rho: DensityMatrix) -> float:
+    """<t|rho|t> for a unit-norm target vector and a unit-trace rho."""
+    # a target reached exactly can round one ulp above 1
+    return min(1.0, float(np.real(target.conj() @ rho.matrix @ target)))
+
+
 def teleport_fidelity(
     chi: QubitSpec,
     params: SourceParams,
@@ -489,8 +459,7 @@ def teleport_fidelity(
     """Overlap of the teleported state with its ideal target, plus the rate."""
     rho, p = teleport(chi, params, delta_phi, cutoff)
     target = ideal_teleport_target(chi, params, cutoff).dense()
-    # a target reached exactly can round one ulp above 1
-    return min(1.0, float(np.real(target.conj() @ rho.matrix @ target))), p
+    return target_overlap(target, rho), p
 
 
 # ------------------------------------------------------- entanglement swap
@@ -607,14 +576,14 @@ def triple_sector_probabilities(
     and the split is exact. (1, 2) is the genuine event; (2, 2) and
     (1, 3) are the double-pair impostors.
     """
-    pre = _teleport_predetection_state(chi, params, delta_phi, cutoff)
+    pre = predetection_state(chi, params, delta_phi, cutoff)
     reg = pre.register
     n_d = np.broadcast_to(reg.photons("D_H") + reg.photons("D_V"), reg.dims)
     n_bell = np.broadcast_to(
         sum(reg.photons(m) for m in ("A_H", "A_V", "C_H", "C_V")), reg.dims
     )
     weights = np.abs(pre.array) ** 2 * _click_weights(
-        reg, _click_groups(COUNTER_MODES), params.eta_d, (1, 1, 1)
+        reg, COUNTER_MODES, params.eta_d
     )
     table = np.zeros((n_d.max() + 1, n_bell.max() + 1))
     np.add.at(table, (n_d.ravel(), n_bell.ravel()), weights.ravel())
@@ -650,7 +619,7 @@ def click_pattern_distribution(
     eight probabilities sum to 1 up to the cutoff truncation. The (1,1,1)
     entry equals the exact-order teleport probability.
     """
-    pre = _teleport_predetection_state(chi, params, delta_phi, cutoff)
+    pre = predetection_state(chi, params, delta_phi, cutoff)
     return pattern_probabilities(counter_marginal(pre), params.eta_d)
 
 
@@ -674,132 +643,3 @@ def pattern_probabilities(
         per_counter.append(np.stack([1.0 - c, c]))
     table = np.einsum("abc,ia,jb,kc->ijk", marginal, *per_counter)
     return {bits: float(table[bits]) for bits in itertools.product((0, 1), repeat=3)}
-
-
-def predetection_state(
-    chi: QubitSpec,
-    params: SourceParams,
-    delta_phi: float = 0.0,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> PureState:
-    """Exact-order state of all beams just before the counters fire.
-
-    This is the object the click arithmetic above consumes; it is exposed
-    so rate checks can thin photons sample by sample instead of trusting
-    the same inclusion-exclusion formulas they are meant to validate.
-    """
-    return _teleport_predetection_state(chi, params, delta_phi, cutoff)
-
-
-# ------------------------------------------------------- calibration scans
-
-
-def _hom_coincidence(params: SourceParams, xi: float, cutoff: int) -> float:
-    """Two-counter coincidence after mixing the heralded photon with the drive.
-
-    The drive is split into a component matched to the photon's mode
-    (amplitude alpha*xi) and an orthogonal one (alpha*sqrt(1-xi^2)); the
-    balanced splitter acts on both submode pairs and each counter watches
-    both submodes of its output beam.
-    """
-    reg = ModeRegister.uniform(["s_m", "s_o", "c_m", "c_o"], cutoff)
-    al = params.alpha_amp
-    a_m = al * xi
-    a_o = al * math.sqrt(max(0.0, 1.0 - xi * xi))
-    if params.order == "pert":
-        # first order keeps a single added drive photon, no cross term
-        state = PureState(
-            reg,
-            {
-                (1, 0, 0, 0): 1.0 + 0.0j,
-                (1, 0, 1, 0): a_m,
-                (1, 0, 0, 1): a_o,
-            },
-        )
-    else:
-        state = PureState(reg, {(1, 0, 0, 0): 1.0 + 0.0j})
-        matched = coherent_state("t", a_m, cutoff, order="exact")
-        ortho = coherent_state("t", a_o, cutoff, order="exact")
-        state = populate(
-            state, ("c_m", "c_o"), np.multiply.outer(matched.array, ortho.array)
-        )
-    state = normalize(state)
-    state = beam_splitter(state, "s_m", "c_m", 0.5)
-    state = beam_splitter(state, "s_o", "c_o", 0.5)
-    return click_pattern_probability(
-        state, [("s_m", "s_o"), ("c_m", "c_o")], params.eta_d, (1, 1)
-    )
-
-
-def hom_visibility(
-    params: SourceParams, xi: float = 1.0, cutoff: int = DEFAULT_CUTOFF
-) -> float:
-    """Two-photon interference visibility at mode overlap ``xi``.
-
-    1 - C(xi)/C(0): fully distinguishable beams set the baseline. At
-    perturbative order this equals xi^2 exactly; matched beams (xi=1)
-    interfere completely and the coincidences vanish.
-    """
-    if not 0.0 <= xi <= 1.0:
-        raise ValueError(f"mode overlap xi={xi} outside [0, 1]")
-    if params.alpha_value == 0.0:
-        raise ValueError("interference scan needs a nonzero coherent drive")
-    base = _hom_coincidence(params, 0.0, cutoff)
-    return 1.0 - _hom_coincidence(params, xi, cutoff) / base
-
-
-def xi_for_visibility(
-    target: float, params: SourceParams, cutoff: int = DEFAULT_CUTOFF
-) -> float:
-    """Mode overlap that reproduces a measured interference visibility."""
-    if not 0.0 < target <= 1.0:
-        raise ValueError(f"visibility {target} outside (0, 1]")
-    f = lambda x: hom_visibility(params, x, cutoff) - target
-    if f(1.0) < 0.0:
-        raise ValueError(f"visibility {target} not reachable at this order")
-    return float(brentq(f, 0.0, 1.0, xtol=1e-12))
-
-
-_SCAN_ANALYSES: Mapping[str, Tuple[complex, complex]] = {
-    "rectilinear": (1.0 + 0.0j, 0.0j),
-    "diagonal": (_S + 0.0j, _S + 0.0j),
-    "circular": (_S + 0.0j, 1j * _S),
-}
-
-
-def bell_visibility_scan(
-    params: SourceParams,
-    basis: str = "rectilinear",
-    delta_phi: float = 0.0,
-    n_angles: int = 24,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> float:
-    """Visibility of the pair correlations against the A-side plate angle.
-
-    The D beam is analysed in a fixed state of the chosen basis while a
-    half-wave plate scans beam A in front of an H analyser (a quarter-wave
-    plate at pi/4 first maps circular onto linear). The coincidence
-    probability follows c0 + c1 cos(4 theta) + c2 sin(4 theta); the
-    visibility is sqrt(c1^2+c2^2)/c0, and equals 1 for the ideal pair.
-    """
-    if basis not in _SCAN_ANALYSES:
-        raise ValueError(f"unknown analysis basis {basis!r}")
-    d_h, d_v = _SCAN_ANALYSES[basis]
-    bell = build_bell_pair(params, delta_phi, cutoff)
-    reg = bell.register
-    bra_reg = reg.subset(["A_H", "A_V", "D_H", "D_V"])
-    bra = PureState(bra_reg, {(1, 0, 1, 0): d_h, (1, 0, 0, 1): d_v})
-    thetas = np.linspace(0.0, math.pi / 2.0, n_angles, endpoint=False)
-    probs = []
-    for theta in thetas:
-        st = bell
-        if basis == "circular":
-            st = quarter_wave_plate(st, "A", math.pi / 4.0)
-        st = half_wave_plate(st, "A", float(theta))
-        _, p = project(st, bra, allow_null=True)
-        probs.append(p)
-    design = np.column_stack(
-        [np.ones_like(thetas), np.cos(4.0 * thetas), np.sin(4.0 * thetas)]
-    )
-    c, *_ = np.linalg.lstsq(design, np.asarray(probs), rcond=None)
-    return float(math.hypot(c[1], c[2]) / c[0])

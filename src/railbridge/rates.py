@@ -30,6 +30,7 @@ from .protocol import (
     counter_marginal,
     pattern_probabilities,
     predetection_state,
+    triple_budget,
 )
 
 # bench reference the forward prediction is compared against
@@ -140,9 +141,9 @@ def estimate_gamma(
     gamma = sqrt(loss_factor * R / (R_L * eta_d)). The singles are counted
     behind a polarisation analyser that keeps one port of one basis, so
     the bare ratio underestimates the emission probability by the
-    loss_factor; with the default 4 the bench rates land on the amplitudes
-    the interference scans calibrate independently. loss_factor=1 gives
-    the at-analyser amplitude instead.
+    loss_factor; with the default 4 the bench rates give gamma1 = 0.197 and
+    gamma23 = 0.055, next to the SourceParams defaults 0.20 and 0.054.
+    loss_factor=1 gives the at-analyser amplitude instead.
     """
     if R < 0.0:
         raise ValueError(f"rate R={R} is negative")
@@ -210,9 +211,7 @@ def circuit_consistency(
     """
     if inputs is None:
         inputs = INPUT_STATES
-    formula = 0.5 * params.eta_d**3 * abs(params.gamma1) ** 2 * (
-        abs(params.gamma23) ** 2
-    )
+    formula = 0.5 * triple_budget(params).p_good
     per_input = {
         name: click_pattern_distribution(chi, params, cutoff=cutoff)[(1, 1, 1)]
         for name, chi in inputs.items()

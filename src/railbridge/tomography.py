@@ -37,6 +37,8 @@ ANALYSIS_SETTINGS: Mapping[str, np.ndarray] = {
 }
 
 _P_FLOOR = 1e-300
+# label of the reconstructed Fock mode: the single-rail mode B
+_FOCK_MODE = "B"
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class ReconstructionOptions:
     tol: float = 1e-10
     max_iter: int = 2000
     dilution: float = 1.0
-    mode_label: str = "B"
 
     def __post_init__(self) -> None:
         if self.cutoff < 1:
@@ -212,7 +213,7 @@ def maxlik_reconstruct(
         raise ValueError("cannot reconstruct from an empty dataset")
     vectors = _sample_vectors(data.thetas(), data.values(), opts.cutoff)
     feats = _feature_rows(vectors, loss_channel(opts.eta_correction, opts.cutoff).kraus)
-    reg = ModeRegister((opts.mode_label,), (opts.cutoff,))
+    reg = ModeRegister((_FOCK_MODE,), (opts.cutoff,))
     return _run_maxlik(feats[None], np.eye((opts.cutoff + 1) ** 2), opts, reg)
 
 
@@ -244,7 +245,7 @@ def joint_reconstruct_swapped(
         for ds in (datasets[name] for name in ANALYSIS_SETTINGS)
     ])
     to_setting = _setting_maps(np.array(list(ANALYSIS_SETTINGS.values())), opts.cutoff + 1)
-    reg = ModeRegister(("D_pol", opts.mode_label), (1, opts.cutoff))
+    reg = ModeRegister(("D_pol", _FOCK_MODE), (1, opts.cutoff))
     return _run_maxlik(feats, to_setting, opts, reg)
 
 

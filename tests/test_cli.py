@@ -161,11 +161,30 @@ def test_wigner_single_photon_grid(tmp_path, capsys):
 
 
 def test_wigner_rejects_non_density(tmp_path, capsys):
-    bad = tmp_path / "x.json"
-    bad.write_text(json.dumps({"hello": 1}))
-    code, _, stderr = run(capsys, "wigner", str(bad), "--out", str(tmp_path / "o"))
-    assert code == 1
-    assert "density" in json.loads(stderr)["error"]["message"]
+    zeros = [[0, 0], [0, 0]]
+    cases = {
+        "not_a_density": ({"hello": 1}, "not a density-matrix JSON"),
+        "non_hermitian": (
+            {"labels": ["B"], "cutoff": 1, "re": [[0.5, 0.9], [0.1, 0.5]],
+             "im": zeros},
+            "not Hermitian",
+        ),
+        "negative": (
+            {"labels": ["B"], "cutoff": 1, "re": [[1.5, 0], [0, -0.5]],
+             "im": zeros},
+            "negative eigenvalue",
+        ),
+    }
+    for name, (obj, reason) in cases.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(obj))
+        for command in ("wigner", "sample"):
+            code, _, stderr = run(
+                capsys, command, str(bad), "--out", str(tmp_path / "o")
+            )
+            assert code == 1, (name, command)
+            assert stderr.count("\n") == 1, (name, command)
+            assert reason in json.loads(stderr)["error"]["message"], (name, command)
 
 
 def test_swap_report(tmp_path, capsys):
