@@ -70,10 +70,6 @@ from .tomography import (
     wigner,
 )
 
-# iteration cap for the small-sample corrected fits the pipeline runs;
-# loss amplification makes those land well above the raw-fit default
-PIPELINE_MAX_ITER = 6000
-
 _SCHEMA_CACHE: Dict[str, dict] = {}
 
 
@@ -283,7 +279,6 @@ def cmd_reconstruct(args, config: Config, out_dir: str) -> Tuple[List[str], str]
     opts = ReconstructionOptions(
         cutoff=args.cutoff if args.cutoff is not None else config.tomo_cutoff,
         eta_correction=eta_corr,
-        max_iter=PIPELINE_MAX_ITER,
     )
     result = maxlik_reconstruct(dataset, opts)
     report = {"schema": "reconstruct-1"}
@@ -294,6 +289,7 @@ def cmd_reconstruct(args, config: Config, out_dir: str) -> Tuple[List[str], str]
         f"reconstructed {len(dataset)} samples at cutoff {opts.cutoff}, "
         f"eta correction {opts.eta_correction}: "
         f"{diag['iterations']} iterations, "
+        f"likelihood gap {diag['likelihood_gap']:.2e}, "
         f"converged={diag['converged']} -> reconstruct.json"
     )
     return ["reconstruct.json"], text
@@ -347,6 +343,10 @@ def cmd_swap(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
 
 
 def cmd_rates(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
+    if args.eta_d is not None:
+        raise ValueError(
+            "rates derives eta_d from R_cc / R_gamma23; --eta-d does not apply"
+        )
     report = {"schema": "rates-1"}
     report.update(
         calibration_report(
@@ -384,17 +384,11 @@ def _pipeline_teleport_state(
     dataset.write_csv(os.path.join(out_dir, fname))
     raw = maxlik_reconstruct(
         dataset,
-        ReconstructionOptions(
-            cutoff=config.tomo_cutoff, eta_correction=1.0,
-            max_iter=PIPELINE_MAX_ITER,
-        ),
+        ReconstructionOptions(cutoff=config.tomo_cutoff, eta_correction=1.0),
     )
     corrected = maxlik_reconstruct(
         dataset,
-        ReconstructionOptions(
-            cutoff=config.tomo_cutoff, eta_correction=config.eta,
-            max_iter=PIPELINE_MAX_ITER,
-        ),
+        ReconstructionOptions(cutoff=config.tomo_cutoff, eta_correction=config.eta),
     )
     target = to_density(
         ideal_teleport_target(chi, params, cutoff=config.tomo_cutoff)
@@ -429,12 +423,11 @@ def _pipeline_swap(config: Config, seed: int, out_dir: str) -> Tuple[List[str], 
         dataset.write_csv(os.path.join(out_dir, fname))
         outputs.append(fname)
         datasets[setting] = dataset
-    common = dict(cutoff=config.tomo_cutoff, max_iter=PIPELINE_MAX_ITER)
     corrected = joint_reconstruct_swapped(
-        datasets, ReconstructionOptions(eta_correction=config.eta, **common)
+        datasets, ReconstructionOptions(cutoff=config.tomo_cutoff, eta_correction=config.eta)
     )
     raw = joint_reconstruct_swapped(
-        datasets, ReconstructionOptions(eta_correction=1.0, **common)
+        datasets, ReconstructionOptions(cutoff=config.tomo_cutoff, eta_correction=1.0)
     )
     target = to_density(ideal_swap_target_qubit(params, cutoff=config.tomo_cutoff))
     section = {

@@ -169,13 +169,14 @@ def rate_for_gamma(
 def predict_triple_rate(model: RateModel, gammas: Sequence[complex]) -> float:
     """Good-triple rate in Hz from the scaling estimate.
 
-    R = R_L * 1/2 * eta_d^3 * |gamma1|^2 * |gamma23|^2. This counts one
-    herald pair plus one resource pair, all three photons detected; see
-    `circuit_consistency` for how much the full circuit shaves off.
+    R = R_L * 1/2 * p_good of `triple_budget`, i.e. R_L * 1/2 * eta_d^3 *
+    |gamma1|^2 * |gamma23|^2. This counts one herald pair plus one resource
+    pair, all three photons detected; see `circuit_consistency` for how
+    much the full circuit shaves off.
     """
     g1, g23 = gammas
-    e = model.eta_d
-    return model.R_L * 0.5 * e**3 * abs(g1) ** 2 * abs(g23) ** 2
+    params = SourceParams(gamma1=abs(g1), gamma23=abs(g23), eta_d=model.eta_d)
+    return model.R_L * 0.5 * triple_budget(params).p_good
 
 
 def efficiency_budget(

@@ -210,6 +210,36 @@ def test_rates_report(tmp_path, capsys):
     assert 0.5 < report["circuit_check"]["circuit_to_formula_ratio"] < 0.6
 
 
+def test_rates_rejects_eta_d_flag(tmp_path, capsys):
+    # rates derives eta_d from R_cc / R_gamma23, so the flag has no effect
+    out = str(tmp_path / "rt")
+    code, stdout, err = run(capsys, "rates", "--eta-d", "0", "--out", out)
+    assert code == 1
+    assert stdout == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["command"] == "rates"
+    assert "--eta-d" in error["message"]
+    assert not os.path.exists(out)
+
+
+def test_reconstruct_reports_likelihood_gap(tmp_path, capsys):
+    state = single_photon_file(tmp_path, cutoff=2)
+    sdir, rdir = str(tmp_path / "s"), str(tmp_path / "r")
+    assert run(capsys, "sample", state, "--out", sdir, "--seed", "9",
+               "--samples", "2000", "--eta", "0.6")[0] == 0
+    code, stdout, _ = run(
+        capsys, "reconstruct", os.path.join(sdir, "samples.csv"),
+        "--out", rdir, "--eta", "0.6", "--cutoff", "2",
+    )
+    assert code == 0
+    diag = read_json(os.path.join(rdir, "reconstruct.json"))["diagnostics"]
+    assert diag["converged"] is True
+    assert 0.0 <= diag["likelihood_gap"] < 1e-2
+    assert f"likelihood gap {diag['likelihood_gap']:.2e}" in stdout
+
+
 def test_seed_precedence(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(format_config(Config(seed=3)))

@@ -201,6 +201,24 @@ def test_loss_channel_is_trace_preserving_exactly():
         assert ch.is_trace_preserving(atol=1e-12)
 
 
+@pytest.mark.parametrize("cutoff", [1, 2, 3, 4])
+def test_loss_channel_trace_preserving_on_random_states(cutoff):
+    rng = np.random.default_rng(600 + cutoff)
+    n = np.diag(np.arange(cutoff + 1.0))
+    for _ in range(25):
+        eta = float(rng.uniform(0.0, 1.0))
+        ch = loss_channel(eta, cutoff)
+        assert ch.is_trace_preserving(atol=1e-12)
+        rho = random_density(rng, ["a"], cutoff, rank=int(rng.integers(1, cutoff + 2)))
+        out = apply_channel(rho, ch, ["a"]).matrix
+        assert abs(np.trace(out) - 1.0) < 1e-12
+        assert np.max(np.abs(out - out.conj().T)) < 1e-12
+        assert np.linalg.eigvalsh(out).min() > -1e-12
+        # each photon survives with probability eta
+        mean_in = np.real(np.trace(n @ rho.matrix))
+        assert abs(np.real(np.trace(n @ out)) - eta * mean_in) < 1e-12
+
+
 def test_loss_channel_eta_one_is_identity():
     ch = loss_channel(1.0, cutoff=3)
     assert len(ch.kraus) == 1
