@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import json
+import math
 import os
 import shutil
 import sys
@@ -257,13 +258,7 @@ def cmd_simulate(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
 def cmd_sample(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
     rho = _load_density(args.state)
     seed = resolve_seed(config)
-    dataset = sample(
-        rho,
-        config.samples,
-        eta=config.eta,
-        seed=seed,
-        source_label=os.path.basename(args.state),
-    )
+    dataset = sample(rho, config.samples, eta=config.eta, seed=seed)
     fname = args.name or "samples.csv"
     dataset.write_csv(os.path.join(out_dir, fname))
     text = (
@@ -343,18 +338,17 @@ def cmd_swap(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
 
 
 def cmd_rates(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
-    if args.eta_d is not None:
+    model = to_rate_model(config)
+    # an eta_d from the config file or --eta-d that differs from the derived
+    # one would be recorded in the manifest but never used
+    if not math.isclose(config.eta_d, model.eta_d, rel_tol=1e-9):
         raise ValueError(
-            "rates derives eta_d from R_cc / R_gamma23; --eta-d does not apply"
+            f"rates derives eta_d = {model.eta_d!r} from R_cc / R_gamma23, but "
+            f"the config and flags give eta_d = {config.eta_d!r}; make eta_d "
+            f"match or drop --eta-d"
         )
     report = {"schema": "rates-1"}
-    report.update(
-        calibration_report(
-            to_rate_model(config),
-            include_circuit_check=True,
-            cutoff=config.cutoff,
-        )
-    )
+    report.update(calibration_report(model, cutoff=config.cutoff))
     _write_json(os.path.join(out_dir, "rates.json"), report, "rates-1")
     text = (
         f"eta_d = {report['eta_d']:.4f}, gamma1 = {report['gamma1']:.4f}, "
@@ -377,9 +371,7 @@ def _pipeline_teleport_state(
     params = to_source_params(config)
     chi = INPUT_STATES[name]
     rho, p = teleport(chi, params, cutoff=config.cutoff)
-    dataset = sample(
-        rho, config.samples, eta=config.eta, seed=seed + idx, source_label=name
-    )
+    dataset = sample(rho, config.samples, eta=config.eta, seed=seed + idx)
     fname = f"samples_{name}.csv"
     dataset.write_csv(os.path.join(out_dir, fname))
     raw = maxlik_reconstruct(
@@ -417,7 +409,6 @@ def _pipeline_swap(config: Config, seed: int, out_dir: str) -> Tuple[List[str], 
             config.samples,
             eta=config.eta,
             seed=seed + len(INPUT_STATES) + j,
-            source_label=setting,
         )
         fname = f"swap_samples_{setting}.csv"
         dataset.write_csv(os.path.join(out_dir, fname))

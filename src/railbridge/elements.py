@@ -152,24 +152,19 @@ def polariser(
 
 
 def two_mode_squeezer(
-    state: PureState, mode_a: str, mode_b: str, gamma: complex, order: str = "exact"
+    state: PureState, mode_a: str, mode_b: str, gamma: complex
 ) -> PureState:
     """Populate a vacuum mode pair with pair emission of amplitude ``gamma``.
 
-    order="pert" appends the single-pair term only, leaving the state
-    unnormalized (amplitudes 1 and gamma); order="exact" writes the full
-    geometric ladder sqrt(1-|gamma|^2) sum_n gamma^n |n, n> within the cutoff.
+    Writes the full geometric ladder sqrt(1-|gamma|^2) sum_n gamma^n |n, n>
+    within the cutoff; the perturbative single-pair form is built directly
+    by the protocol's source constructors.
     """
-    if order not in ("pert", "exact"):
-        raise ValueError(f"unknown squeezer order {order!r}")
     if abs(gamma) >= 1.0:
         raise ValueError("pair amplitude |gamma| must be < 1")
     ca, cb = state.register.cutoff_of(mode_a), state.register.cutoff_of(mode_b)
-    if order == "pert":
-        ladder = [1.0 + 0.0j, complex(gamma)]
-    else:
-        scale = math.sqrt(1.0 - abs(gamma) ** 2)
-        ladder = [scale * complex(gamma) ** n for n in range(min(ca, cb) + 1)]
+    scale = math.sqrt(1.0 - abs(gamma) ** 2)
+    ladder = [scale * complex(gamma) ** n for n in range(min(ca, cb) + 1)]
     block = np.zeros((ca + 1, cb + 1), dtype=complex)
     block[: len(ladder), : len(ladder)] = np.diag(ladder)
     return populate(state, (mode_a, mode_b), block)
@@ -191,20 +186,13 @@ def populate(state: PureState, modes: Sequence[str], block: np.ndarray) -> PureS
     return PureState(reg, np.moveaxis(out, range(len(pos)), pos))
 
 
-def coherent_state(
-    label: str, alpha: complex, cutoff: int, order: str = "exact"
-) -> PureState:
+def coherent_state(label: str, alpha: complex, cutoff: int) -> PureState:
     """Single-mode coherent state |alpha> truncated at ``cutoff``.
 
-    order="pert" keeps the printed first-order form (amplitudes 1 and alpha,
-    unnormalized). The exact form keeps the Poisson amplitudes; a truncation
-    warning fires when the dropped weight exceeds 1e-6.
+    Keeps the Poisson amplitudes; a truncation warning fires when the
+    dropped weight exceeds 1e-6.
     """
-    if order not in ("pert", "exact"):
-        raise ValueError(f"unknown coherent order {order!r}")
     reg = ModeRegister((label,), (cutoff,))
-    if order == "pert":
-        return PureState(reg, {(0,): 1.0 + 0.0j, (1,): complex(alpha)})
     pref = math.exp(-0.5 * abs(alpha) ** 2)
     amps = [
         pref * complex(alpha) ** n / math.sqrt(math.factorial(n))

@@ -1,10 +1,10 @@
 """Balanced-homodyne statistics for a single optical mode.
 
 Exact quadrature distributions of a truncated density matrix, seeded
-synthetic datasets drawn by inverse-CDF sampling on a grid (one bisection
-per draw against that draw's own phase, whether the phases are uniform or
-fixed), CSV import/export, and phase estimation from the angle dependence
-of the windowed mean quadrature. A dataset is two float arrays, the phases
+synthetic datasets drawn at uniform phases by inverse-CDF sampling on a
+fixed grid (one bisection per draw against that draw's own phase), CSV
+import/export, and phase estimation from the angle dependence of the
+windowed mean quadrature. A dataset is two float arrays, the phases
 and the quadrature values.
 
 Conventions: [q, p] = i, X_theta = q cos(theta) + p sin(theta), vacuum
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -94,7 +94,6 @@ class QuadratureDataset:
     theta: np.ndarray
     x: np.ndarray
     eta_assumed: float = 1.0
-    source_label: str = ""
 
     def __post_init__(self) -> None:
         self.theta = np.asarray(self.theta, dtype=float)
@@ -124,9 +123,7 @@ class QuadratureDataset:
             )
 
     @classmethod
-    def read_csv(
-        cls, path, eta_assumed: float = 1.0, source_label: str = ""
-    ) -> "QuadratureDataset":
+    def read_csv(cls, path, eta_assumed: float = 1.0) -> "QuadratureDataset":
         thetas: List[float] = []
         xs: List[float] = []
         with open(path, "r", encoding="utf-8") as fh:
@@ -148,7 +145,7 @@ class QuadratureDataset:
                     raise ValueError(f"{path}: line {lineno}: non-finite value")
                 thetas.append(theta)
                 xs.append(x)
-        return cls(thetas, xs, eta_assumed=eta_assumed, source_label=source_label)
+        return cls(thetas, xs, eta_assumed=eta_assumed)
 
 
 def _phase_coefficients(matrix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -182,18 +179,13 @@ def _interp_inverse(lo_c, hi_c, x_lo, x_hi, u):
 
 
 def sample(
-    rho: DensityMatrix,
-    n_samples: int,
-    phase_mode: Union[str, float] = "uniform",
-    eta: float = 1.0,
-    seed=None,
-    grid: Tuple[float, float, int] = DEFAULT_GRID,
-    source_label: str = "",
+    rho: DensityMatrix, n_samples: int, eta: float = 1.0, seed=None
 ) -> QuadratureDataset:
     """Draw homodyne samples from a single-mode state.
 
-    phase_mode is "uniform" (theta drawn uniformly over [0, 2 pi)) or a
-    number fixing theta for every sample. Detection efficiency eta < 1 is
+    Each sample's phase theta is drawn uniformly over [0, 2 pi) and its
+    quadrature is inverted on DEFAULT_GRID; a state whose distribution the
+    grid cannot hold raises GridError. Detection efficiency eta < 1 is
     applied as a photon-loss channel before sampling, and is recorded in
     the dataset as eta_assumed. Deterministic for a fixed seed.
     """
@@ -206,21 +198,13 @@ def sample(
     if eta != 1.0:
         rho = apply_channel(rho, loss_channel(eta, rho.register.cutoffs[0]), [label])
     matrix = rho.matrix
-    lo, hi, points = grid
-    if points < 8 or hi <= lo:
-        raise GridError(f"unusable grid {grid}")
-    xgrid = np.linspace(lo, hi, int(points))
+    xgrid = np.linspace(*DEFAULT_GRID)
     d = matrix.shape[0]
     cumkernel = _cumulative_kernel(hermite_functions(d - 1, xgrid), xgrid)
     g = len(xgrid)
 
     rng = np.random.default_rng(seed)
-    if isinstance(phase_mode, str):
-        if phase_mode != "uniform":
-            raise ValueError(f"unknown phase_mode {phase_mode!r}")
-        thetas = rng.uniform(0.0, 2.0 * math.pi, n_samples)
-    else:
-        thetas = np.full(n_samples, float(phase_mode))
+    thetas = rng.uniform(0.0, 2.0 * math.pi, n_samples)
 
     # Every draw has its own phase, hence its own CDF row. Tabulating those
     # rows costs gigabytes of gemm traffic at 1e5 draws, so invert by
@@ -250,7 +234,7 @@ def sample(
     lo_c = _row_cdf_at(coeff, kernel_rows, lo_i)
     hi_c = _row_cdf_at(coeff, kernel_rows, hi_i)
     xs = _interp_inverse(lo_c, hi_c, xgrid[lo_i], xgrid[hi_i], u)
-    return QuadratureDataset(thetas, xs, eta_assumed=eta, source_label=source_label)
+    return QuadratureDataset(thetas, xs, eta_assumed=eta)
 
 
 @dataclass(frozen=True)
@@ -319,9 +303,7 @@ def phase_accuracy_curve(
     sample_sizes: Sequence[int],
     window: int = 50,
     trials: int = 20,
-    eta: float = 1.0,
     seed: int = 0,
-    grid: Tuple[float, float, int] = DEFAULT_GRID,
 ) -> List[Tuple[int, float]]:
     """RMS phase error versus sample count, as a fraction of 2 pi.
 
@@ -334,7 +316,7 @@ def phase_accuracy_curve(
     for n in sample_sizes:
         sq = 0.0
         for _ in range(trials):
-            ds = sample(rho, int(n), eta=eta, seed=int(base.integers(2**63)), grid=grid)
+            ds = sample(rho, int(n), seed=int(base.integers(2**63)))
             est = phase_estimate(ds, window=window)
             err = wrap_phase(est.phi - true_phi)
             sq += err * err

@@ -197,37 +197,33 @@ def build_resource_omega(params: SourceParams, cutoff: int = DEFAULT_CUTOFF) -> 
             (0, 1, 0): al,
         }
         return normalize(PureState(reg, amps))
-    state = two_mode_squeezer(vacuum(reg), "C_H", "B", g1, order="exact")
+    state = two_mode_squeezer(vacuum(reg), "C_H", "B", g1)
     with warnings.catch_warnings():
         # the ~1e-5 drive weight beyond cutoff 2 is renormalized away and is
         # orders below every tolerance used downstream
         warnings.simplefilter("ignore", UserWarning)
-        drive = coherent_state("drive", al, cutoff, order="exact")
+        drive = coherent_state("drive", al, cutoff)
     return normalize(populate(state, ("C_V",), drive.array))
 
 
-def build_bell_pair(
-    params: SourceParams, delta_phi: float = 0.0, cutoff: int = DEFAULT_CUTOFF
-) -> PureState:
+def build_bell_pair(params: SourceParams, cutoff: int = DEFAULT_CUTOFF) -> PureState:
     """Polarisation-entangled pair shared between beams A and D.
 
-    Two pair sources feed (A_H, D_V) and (A_V, D_H); the second one picks up
-    the interferometer phase e^(i delta_phi). Perturbative order keeps
-    |0> + gamma23 (|H>_A|V>_D + e^(i dphi) |V>_A|H>_D), normalized.
+    Two pair sources of equal amplitude feed (A_H, D_V) and (A_V, D_H).
+    Perturbative order keeps |0> + gamma23 (|H>_A|V>_D + |V>_A|H>_D),
+    normalized.
     """
     reg = ModeRegister.uniform(["A_H", "A_V", "D_H", "D_V"], cutoff)
-    g2 = complex(params.gamma23)
-    g3 = params.gamma23 * cmath.exp(1j * delta_phi)
+    g23 = complex(params.gamma23)
     if params.order == "pert":
         amps = {
             (0, 0, 0, 0): 1.0 + 0.0j,
-            (1, 0, 0, 1): g2,
-            (0, 1, 1, 0): g3,
+            (1, 0, 0, 1): g23,
+            (0, 1, 1, 0): g23,
         }
         return normalize(PureState(reg, amps))
-    state = two_mode_squeezer(vacuum(reg), "A_H", "D_V", g2, order="exact")
-    state = two_mode_squeezer(state, "A_V", "D_H", g3, order="exact")
-    return normalize(state)
+    state = two_mode_squeezer(vacuum(reg), "A_H", "D_V", g23)
+    return normalize(two_mode_squeezer(state, "A_V", "D_H", g23))
 
 
 # -------------------------------------------------------------- heralding
@@ -332,23 +328,18 @@ def apply_bell_circuit(state: PureState) -> PureState:
     return state
 
 
-def bell_project_ideal(
-    state: PureState, allow_null: bool = True
-) -> Tuple[PureState, float]:
+def bell_project_ideal(state: PureState) -> Tuple[PureState, float]:
     """Rank-1 projection onto (<H|_A <V|_C + <V|_A <H|_C)/sqrt(2).
 
     Returns the normalized remainder on the leftover modes and the outcome
-    probability; orthogonal inputs give probability 0 (and an empty state)
-    unless ``allow_null`` is cleared.
+    probability; an input orthogonal to the pair raises NullOutcomeError.
     """
     reg = state.register
     bra_reg = reg.subset(["A_H", "A_V", "C_H", "C_V"])
     bra = PureState(bra_reg, {(1, 0, 0, 1): _S + 0.0j, (0, 1, 1, 0): _S + 0.0j})
     remainder, p = project(state, bra, allow_null=True)
     if p < 1e-30:
-        if not allow_null:
-            raise NullOutcomeError("state is orthogonal to the projected pair")
-        return remainder, 0.0
+        raise NullOutcomeError("state is orthogonal to the projected pair")
     return normalize(remainder), p
 
 
@@ -381,7 +372,6 @@ def _check_exact_cutoff(cutoff: int) -> None:
 def predetection_state(
     chi: QubitSpec,
     params: SourceParams,
-    delta_phi: float = 0.0,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> PureState:
     """Exact-order state of all beams just before the three counters fire.
@@ -395,7 +385,7 @@ def predetection_state(
     _check_exact_cutoff(cutoff)
     params = _exact_params(params)
     joint = tensor(
-        build_bell_pair(params, delta_phi, cutoff),
+        build_bell_pair(params, cutoff),
         build_resource_omega(params, cutoff),
     )
     d = herald_setting_for(chi)
@@ -409,7 +399,6 @@ def predetection_state(
 def teleport(
     chi: QubitSpec,
     params: SourceParams,
-    delta_phi: float = 0.0,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> Tuple[DensityMatrix, float]:
     """Conditional state of mode B given the herald and both projector clicks.
@@ -423,12 +412,12 @@ def teleport(
     per-pulse triple-coincidence probability; it needs cutoff >= 2.
     """
     if params.order == "pert":
-        bell = build_bell_pair(params, delta_phi, cutoff)
+        bell = build_bell_pair(params, cutoff)
         chi_a, p_herald = herald_qubit(bell, herald_setting_for(chi))
         joint = tensor(chi_a, build_resource_omega(params, cutoff))
-        remainder, p_bell = bell_project_ideal(joint, allow_null=False)
+        remainder, p_bell = bell_project_ideal(joint)
         return to_density(remainder), p_herald * p_bell
-    pre = predetection_state(chi, params, delta_phi, cutoff)
+    pre = predetection_state(chi, params, cutoff)
     return condition_on_clicks(pre, COUNTER_MODES, params.eta_d, keep=("B",))
 
 
@@ -453,11 +442,10 @@ def target_overlap(target: np.ndarray, rho: DensityMatrix) -> float:
 def teleport_fidelity(
     chi: QubitSpec,
     params: SourceParams,
-    delta_phi: float = 0.0,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> Tuple[float, float]:
     """Overlap of the teleported state with its ideal target, plus the rate."""
-    rho, p = teleport(chi, params, delta_phi, cutoff)
+    rho, p = teleport(chi, params, cutoff)
     target = ideal_teleport_target(chi, params, cutoff).dense()
     return target_overlap(target, rho), p
 
@@ -467,7 +455,6 @@ def teleport_fidelity(
 
 def swap_entanglement(
     params: SourceParams,
-    delta_phi: float = 0.0,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> Tuple[DensityMatrix, float]:
     """Joint D/B state conditioned on the projector alone (no herald).
@@ -479,11 +466,11 @@ def swap_entanglement(
     if params.order == "exact":
         _check_exact_cutoff(cutoff)
     joint = tensor(
-        build_bell_pair(params, delta_phi, cutoff),
+        build_bell_pair(params, cutoff),
         build_resource_omega(params, cutoff),
     )
     if params.order == "pert":
-        remainder, p = bell_project_ideal(joint, allow_null=False)
+        remainder, p = bell_project_ideal(joint)
         return to_density(normalize(remainder)), p
     out = normalize(apply_bell_circuit(joint))
     return condition_on_clicks(
@@ -565,7 +552,6 @@ def triple_budget(params: SourceParams) -> TripleBudget:
 def triple_sector_probabilities(
     chi: QubitSpec,
     params: SourceParams,
-    delta_phi: float = 0.0,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> Dict[Tuple[int, int], float]:
     """Triple-coincidence probability split by emission pattern.
@@ -576,7 +562,7 @@ def triple_sector_probabilities(
     and the split is exact. (1, 2) is the genuine event; (2, 2) and
     (1, 3) are the double-pair impostors.
     """
-    pre = predetection_state(chi, params, delta_phi, cutoff)
+    pre = predetection_state(chi, params, cutoff)
     reg = pre.register
     n_d = np.broadcast_to(reg.photons("D_H") + reg.photons("D_V"), reg.dims)
     n_bell = np.broadcast_to(
@@ -595,11 +581,10 @@ def triple_sector_probabilities(
 def simulated_triple_breakdown(
     chi: QubitSpec,
     params: SourceParams,
-    delta_phi: float = 0.0,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> TripleBudget:
     """Triple budget measured from the exact-order simulation itself."""
-    sectors = triple_sector_probabilities(chi, params, delta_phi, cutoff)
+    sectors = triple_sector_probabilities(chi, params, cutoff)
     return TripleBudget(
         p_good=sectors.get((1, 2), 0.0),
         p_bad_a=sectors.get((2, 2), 0.0),
@@ -610,7 +595,6 @@ def simulated_triple_breakdown(
 def click_pattern_distribution(
     chi: QubitSpec,
     params: SourceParams,
-    delta_phi: float = 0.0,
     cutoff: int = DEFAULT_CUTOFF,
 ) -> Dict[Tuple[int, int, int], float]:
     """Full per-pulse distribution over the three counters' click patterns.
@@ -619,7 +603,7 @@ def click_pattern_distribution(
     eight probabilities sum to 1 up to the cutoff truncation. The (1,1,1)
     entry equals the exact-order teleport probability.
     """
-    pre = predetection_state(chi, params, delta_phi, cutoff)
+    pre = predetection_state(chi, params, cutoff)
     return pattern_probabilities(counter_marginal(pre), params.eta_d)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -107,19 +107,6 @@ class EfficiencyBudget:
                 f"product={self.product} disagrees with factors ({expected})"
             )
 
-    @property
-    def discrepancy(self) -> float:
-        """Forecast minus measurement; nonzero means unbudgeted loss."""
-        return self.product - self.measured_eta
-
-    def eta_interval(self) -> Tuple[float, float]:
-        return (self.measured_eta - self.drift, self.measured_eta + self.drift)
-
-    def eta_grid(self) -> Tuple[float, float, float]:
-        """(low, nominal, high) efficiencies for reconstruction sweeps."""
-        lo, hi = self.eta_interval()
-        return (lo, self.measured_eta, hi)
-
 
 # ------------------------------------------------------------- estimation
 
@@ -198,24 +185,20 @@ def efficiency_budget(
 
 
 def circuit_consistency(
-    params: SourceParams,
-    inputs: Optional[Mapping[str, QubitSpec]] = None,
-    cutoff: int = DEFAULT_CUTOFF,
+    params: SourceParams, cutoff: int = DEFAULT_CUTOFF
 ) -> Dict[str, object]:
     """Exact circuit triple probability versus the scaling formula.
 
     The formula overcounts: the projection circuit passes the resonant
     two-photon combination with probability 1/2 and the impostor budget
     shifts with the input, so the honest per-pulse probability runs near
-    0.56 of the formula at bench amplitudes. Returned per input and as a
-    mean so the forward rate can be quoted either way.
+    0.56 of the formula at bench amplitudes. Returned per canonical input
+    and as a mean so the forward rate can be quoted either way.
     """
-    if inputs is None:
-        inputs = INPUT_STATES
     formula = 0.5 * triple_budget(params).p_good
     per_input = {
         name: click_pattern_distribution(chi, params, cutoff=cutoff)[(1, 1, 1)]
-        for name, chi in inputs.items()
+        for name, chi in INPUT_STATES.items()
     }
     mean_circuit = float(np.mean(list(per_input.values())))
     return {
@@ -289,11 +272,10 @@ def simulate_triple_rate(
 
 
 def calibration_report(
-    model: RateModel,
-    include_circuit_check: bool = False,
-    cutoff: int = DEFAULT_CUTOFF,
+    model: RateModel, cutoff: int = DEFAULT_CUTOFF
 ) -> Dict[str, object]:
-    """All derived calibration quantities as one JSON-ready mapping."""
+    """All derived calibration quantities, with the circuit check, as one
+    JSON-ready mapping."""
     eta_d = model.eta_d
     gamma1 = estimate_gamma(
         model.R_gamma1, model.R_L, eta_d, model.projector_loss_factor
@@ -301,7 +283,9 @@ def calibration_report(
     gamma23 = estimate_gamma(
         model.R_gamma23, model.R_L, eta_d, model.projector_loss_factor
     )
-    report: Dict[str, object] = {
+    params = SourceParams(gamma1=gamma1, gamma23=gamma23, eta_d=eta_d)
+    check = circuit_consistency(params, cutoff=cutoff)
+    return {
         "rates_in": {
             "R_L": model.R_L,
             "R_alpha": model.R_alpha,
@@ -316,13 +300,7 @@ def calibration_report(
         "predicted_triple_rate_hz": predict_triple_rate(model, (gamma1, gamma23)),
         "measured_triple_rate_hz": MEASURED_TRIPLE_RATE_HZ,
         "measured_triple_rate_err_hz": MEASURED_TRIPLE_RATE_ERR_HZ,
+        "circuit_check": check,
+        "circuit_triple_rate_hz": model.R_L * float(check["circuit_probability"]),
     }
-    if include_circuit_check:
-        params = SourceParams(gamma1=gamma1, gamma23=gamma23, eta_d=eta_d)
-        check = circuit_consistency(params, cutoff=cutoff)
-        report["circuit_check"] = check
-        report["circuit_triple_rate_hz"] = (
-            model.R_L * float(check["circuit_probability"])
-        )
-    return report
 

@@ -16,8 +16,8 @@ sufficient-increase condition and grows a little after each accepted
 step; the momentum restarts from the last accepted iterate whenever the
 likelihood drops. Since L is concave, gap = N (lambda_max(R(rho)) - 1)
 bounds L* - L(rho) from above (Glancy, Knill & Girard, NJP 14, 095017,
-2012); the fit is converged once gap < tol, checked at every accepted
-iterate.
+2012); the fit is converged once gap < GAP_TOL, checked at every
+accepted iterate.
 
 Each sample's measurement operator is contracted with the loss channel
 once, up front, into a real row of (c+1)^2 packed coordinates, so every
@@ -47,6 +47,8 @@ ANALYSIS_SETTINGS: Mapping[str, np.ndarray] = {
 }
 
 _P_FLOOR = 1e-300
+# certified likelihood gap L* - L, in nats, at which a fit stops
+GAP_TOL = 1e-2
 # a momentum point must keep every sample probability above this, or the
 # momentum restarts: its log-likelihood and gradient would not be finite
 _P_MOMENTUM_MIN = 1e-12
@@ -64,26 +66,21 @@ class ReconstructionOptions:
 
     eta_correction = 1 reconstructs the detected state; < 1 folds that
     much loss into the POVM so the result refers to the pre-loss state.
-    tol bounds the certified likelihood gap L* - L, in nats, at which the
-    fit stops. dilution < 1 shortens every trial step by that factor, the
-    projected-gradient counterpart of R -> (1 - dilution) I + dilution R.
+    The fit stops once its certified likelihood gap falls below GAP_TOL,
+    or after max_iter accepted steps.
     """
 
     cutoff: int = 4
     eta_correction: float = 1.0
-    tol: float = 1e-2
     max_iter: int = 2000
-    dilution: float = 1.0
 
     def __post_init__(self) -> None:
         if self.cutoff < 1:
             raise ValueError("cutoff must be >= 1")
         if not 0.0 < self.eta_correction <= 1.0:
             raise ValueError(f"eta_correction={self.eta_correction} outside (0, 1]")
-        if not 0.0 < self.dilution <= 1.0:
-            raise ValueError(f"dilution={self.dilution} outside (0, 1]")
-        if self.tol <= 0.0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter >= 1")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -95,7 +92,7 @@ class ReconstructionResult:
     decreasing. rejected_steps counts trial steps that fell below the
     last accepted likelihood and were shortened; momentum restarts are
     not counted. likelihood_gap bounds L* - final_loglik in nats, and
-    converged means it is below tol.
+    converged means it is below GAP_TOL.
     """
 
     rho: DensityMatrix
@@ -232,7 +229,7 @@ def _run_maxlik(
     theta, step = 1.0, _STEP_INIT
     rejected = 0
     iterations = 0
-    while gap >= opts.tol and iterations < opts.max_iter:
+    while gap >= GAP_TOL and iterations < opts.max_iter:
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         beta = (theta - 1.0) / theta_next
         if beta > 0.0:
@@ -249,7 +246,7 @@ def _run_maxlik(
         else:
             y, loglik_y, grad_y = x, loglik, grad
         while True:
-            x_new = _project_density(y + opts.dilution * step * grad_y, dim, iu)
+            x_new = _project_density(y + step * grad_y, dim, iu)
             d = x_new - y
             loglik_new = forward(x_new, p_new)
             if loglik_new >= loglik_y + n * (grad_y @ d - (d @ d) / (2.0 * step)):
@@ -276,7 +273,7 @@ def _run_maxlik(
     floored = int(np.count_nonzero(p <= _P_FLOOR))  # p of the accepted rho
     return ReconstructionResult(
         DensityMatrix(reg, _unpack_hermitian(x, dim, iu)), iterations, trace,
-        gap < opts.tol, opts.eta_correction, floored, rejected, gap,
+        gap < GAP_TOL, opts.eta_correction, floored, rejected, gap,
     )
 
 

@@ -185,7 +185,7 @@ def test_likelihood_never_decreases_on_random_datasets():
         data = sample(rho, int(rng.integers(200, 801)), eta=eta, seed=int(rng.integers(2**63)))
         res = maxlik_reconstruct(
             data,
-            ReconstructionOptions(cutoff=cutoff, eta_correction=eta, dilution=0.5, max_iter=300),
+            ReconstructionOptions(cutoff=cutoff, eta_correction=eta, max_iter=300),
         )
         diffs = np.diff(res.loglik_trace)
         assert diffs.size > 0

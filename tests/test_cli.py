@@ -224,6 +224,33 @@ def test_rates_rejects_eta_d_flag(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_rates_rejects_config_eta_d_that_disagrees(tmp_path, capsys):
+    # a config file is the other way in for an eta_d that rates never uses
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(format_config(Config(seed=1, eta_d=0.5)))
+    out = str(tmp_path / "rt")
+    code, stdout, err = run(capsys, "rates", "--config", str(cfg), "--out", out)
+    assert code == 1
+    assert stdout == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert "eta_d = 0.5" in message and "eta_d = 0.03" in message
+    assert "--eta-d" in message
+    assert not os.path.exists(out)
+
+
+def test_rates_accepts_config_with_derived_eta_d(tmp_path, capsys):
+    # the default eta_d is exactly R_cc / R_gamma23 = 51 / 1700
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(format_config(Config(seed=1)))
+    out = str(tmp_path / "rt")
+    code, stdout, _ = run(capsys, "rates", "--config", str(cfg), "--out", out)
+    assert code == 0
+    assert stdout.startswith("eta_d = 0.0300")
+    assert read_json(os.path.join(out, "manifest.json"))["config"]["eta_d"] == 0.03
+
+
 def test_reconstruct_reports_likelihood_gap(tmp_path, capsys):
     state = single_photon_file(tmp_path, cutoff=2)
     sdir, rdir = str(tmp_path / "s"), str(tmp_path / "r")

@@ -242,31 +242,14 @@ def test_polariser_two_photon_attenuation():
 # ------------------------------------------------------------------ sources
 
 
-def test_tms_pert_creates_single_pair():
-    reg = two_modes(cutoff=2)
-    out = two_mode_squeezer(vacuum(reg), "a", "b", 0.1, order="pert")
-    assert abs(out.amplitude((0, 0)) - 1.0) < 1e-12
-    assert abs(out.amplitude((1, 1)) - 0.1) < 1e-12
-    assert len(out.amps) == 2
-
-
 def test_tms_exact_matches_geometric_series():
     gamma, cutoff = 0.3, 6
     reg = two_modes(cutoff=cutoff)
-    out = two_mode_squeezer(vacuum(reg), "a", "b", gamma, order="exact")
+    out = two_mode_squeezer(vacuum(reg), "a", "b", gamma)
     scale = math.sqrt(1 - gamma**2)
     for n in range(cutoff + 1):
         assert abs(out.amplitude((n, n)) - scale * gamma**n) < 1e-12
     assert abs(norm(out) ** 2 - (1 - gamma ** (2 * (cutoff + 1)))) < 1e-12
-
-
-def test_tms_pert_close_to_exact_for_small_gamma():
-    gamma = 0.05
-    reg = two_modes(cutoff=4)
-    pert = two_mode_squeezer(vacuum(reg), "a", "b", gamma, order="pert")
-    exact = two_mode_squeezer(vacuum(reg), "a", "b", gamma, order="exact")
-    diff = normalize(pert).dense() - normalize(exact).dense()
-    assert np.max(np.abs(diff)) < 2 * gamma**2
 
 
 def test_tms_requires_vacuum_in_target_modes():
@@ -279,9 +262,12 @@ def test_tms_requires_vacuum_in_target_modes():
 def test_tms_acts_only_on_its_pair():
     reg = ModeRegister.uniform(["a", "b", "c"], 2)
     psi = PureState(reg, {(0, 0, 1): 1.0 + 0.0j})
-    out = two_mode_squeezer(psi, "a", "b", 0.2, order="pert")
-    assert abs(out.amplitude((0, 0, 1)) - 1.0) < 1e-12
-    assert abs(out.amplitude((1, 1, 1)) - 0.2) < 1e-12
+    out = two_mode_squeezer(psi, "a", "b", 0.2)
+    scale = math.sqrt(1 - 0.2**2)
+    assert abs(out.amplitude((0, 0, 1)) - scale) < 1e-12
+    assert abs(out.amplitude((1, 1, 1)) - 0.2 * scale) < 1e-12
+    assert abs(out.amplitude((2, 2, 1)) - 0.04 * scale) < 1e-12
+    assert len(out.amps) == 3
 
 
 # ---------------------------------------------------------- coherent source
@@ -295,11 +281,6 @@ def test_coherent_state_poisson_amplitudes():
             math.factorial(n)
         )
         assert abs(st.amps[(n,)] - expected) < 1e-12
-
-
-def test_coherent_state_pert_is_linear():
-    st = coherent_state("c", 0.2, 3, order="pert")
-    assert st.amps == {(0,): 1.0 + 0.0j, (1,): 0.2 + 0.0j}
 
 
 def test_coherent_state_warns_on_heavy_truncation():

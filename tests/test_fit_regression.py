@@ -19,7 +19,7 @@ import pytest
 
 from railbridge.fock import DensityMatrix, ModeRegister, loss_channel, to_density
 from railbridge.homodyne import hermite_functions, sample
-from railbridge.tomography import ReconstructionOptions, maxlik_reconstruct
+from railbridge.tomography import GAP_TOL, ReconstructionOptions, maxlik_reconstruct
 from test_acceptance import fixed_state_set
 
 with open(os.path.join(os.path.dirname(__file__), "fit_pins.json")) as fh:
@@ -76,7 +76,7 @@ def test_single_mode_fit_matches_pins(name):
     ll_pin, _ = loglik_and_gap(data, pinned, opts.eta_correction)
     assert ll_fit >= ll_pin - 1e-9
     assert res.converged
-    assert gap < opts.tol
+    assert gap < GAP_TOL
     assert abs(res.likelihood_gap - gap) <= 1e-6 * max(1.0, gap)
     # the certificate bounds how far any density matrix can sit above the fit
     assert ll_pin <= ll_fit + gap
@@ -92,5 +92,5 @@ def test_converged_lossy_panel_fit_is_certified():
     res = maxlik_reconstruct(data, opts)
     assert res.converged
     _, gap = loglik_and_gap(data, res.rho.matrix, opts.eta_correction)
-    assert gap < opts.tol
+    assert gap < GAP_TOL
     assert math.isclose(res.likelihood_gap, gap, rel_tol=1e-6, abs_tol=1e-6)

