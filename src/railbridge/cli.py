@@ -71,22 +71,29 @@ from .tomography import (
     wigner,
 )
 
-_SCHEMA_CACHE: Dict[str, dict] = {}
+# one validator per artifact kind, its schema checked once when built
+_SCHEMA_CACHE: Dict[str, jsonschema.protocols.Validator] = {}
 
 
-def _schema(kind: str) -> dict:
+def _validator(kind: str) -> jsonschema.protocols.Validator:
     if kind not in _SCHEMA_CACHE:
         text = (
             resources.files("railbridge")
             .joinpath("schemas", f"{kind}.schema.json")
             .read_text(encoding="utf-8")
         )
-        _SCHEMA_CACHE[kind] = json.loads(text)
+        schema = json.loads(text)
+        cls = jsonschema.validators.validator_for(schema)
+        cls.check_schema(schema)
+        _SCHEMA_CACHE[kind] = cls(schema)
     return _SCHEMA_CACHE[kind]
 
 
 def validate_artifact(kind: str, obj: dict) -> None:
-    jsonschema.validate(obj, _schema(kind))
+    """Raise the error jsonschema.validate would raise for an invalid obj."""
+    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(obj))
+    if error is not None:
+        raise error
 
 
 def _write_json(path: str, obj: dict, kind: str) -> None:

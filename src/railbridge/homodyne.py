@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .fock import DensityMatrix, apply_channel, loss_channel
 
@@ -162,10 +161,16 @@ def _phase_coefficients(matrix: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 
 def _cumulative_kernel(psi: np.ndarray, xgrid: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral of each psi_m psi_n product, (d^2, grid)."""
+    """Running trapezoid integral of each psi_m psi_n product, (d^2, grid).
+
+    The operations are those of scipy's cumulative_trapezoid(initial=0),
+    in the same order, so the table is bit-equal to it while
+    scipy.integrate, which imports most of scipy, stays off the import path.
+    """
     d = psi.shape[0]
     kernel = (psi[:, None, :] * psi[None, :, :]).reshape(d * d, -1)
-    return cumulative_trapezoid(kernel, x=xgrid, axis=1, initial=0.0)
+    steps = np.diff(xgrid) * (kernel[:, 1:] + kernel[:, :-1]) / 2.0
+    return np.concatenate((np.zeros((d * d, 1)), np.cumsum(steps, axis=1)), axis=1)
 
 
 def _row_cdf_at(coeff: np.ndarray, kernel_rows: np.ndarray, idx: np.ndarray) -> np.ndarray:

@@ -514,7 +514,9 @@ def swap_qubit_sector(rho: DensityMatrix) -> Tuple[DensityMatrix, float]:
     weight = float(np.real(np.trace(sub)))
     if weight < 1e-30:
         raise NullOutcomeError("no single-photon weight in the D beam")
-    return DensityMatrix(out_reg, sub / weight), weight
+    # at perturbative order the sector is the whole state, and its trace
+    # can round one ulp above 1
+    return DensityMatrix(out_reg, sub / weight), min(1.0, weight)
 
 
 def ideal_swap_target_qubit(

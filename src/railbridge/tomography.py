@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
-from scipy.special import eval_genlaguerre, eval_laguerre
 
 from .fock import DensityMatrix, ModeRegister, density_to_json_dict, loss_channel
 from .homodyne import QuadratureDataset, hermite_functions
@@ -354,6 +353,9 @@ def wigner(rho: DensityMatrix, q_grid: np.ndarray, p_grid: np.ndarray) -> np.nda
     number-basis kernels (Laguerre polynomials times a Gaussian).
     Normalized so the full plane integrates to 1.
     """
+    # imported here: scipy.special is slow to import and only wigner needs it
+    from scipy.special import eval_genlaguerre, eval_laguerre
+
     if rho.register.n_modes != 1:
         raise ValueError(f"Wigner model is single-mode; got {rho.register.labels}")
     q = np.asarray(q_grid, dtype=float)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 from scipy.special import eval_hermite, factorial
 from scipy.stats import kstest
 
@@ -10,6 +11,7 @@ from railbridge.fock import DensityMatrix, ModeRegister, PureState, to_density
 from railbridge.homodyne import (
     DEFAULT_GRID,
     GridError,
+    _cumulative_kernel,
     PhaseEstimate,
     QuadratureDataset,
     hermite_functions,
@@ -138,6 +140,15 @@ def test_sample_same_seed_identical_bytes(tmp_path):
     sample(rho, 500, seed=42).write_csv(b)
     assert a.read_bytes() == b.read_bytes()
     assert sample(rho, 500, seed=43).values()[0] != sample(rho, 500, seed=42).values()[0]
+
+
+def test_cumulative_kernel_bit_equal_to_scipy():
+    # the CDF table, hence every sample, must not move with the rewrite
+    for d in range(2, 6):
+        psi = hermite_functions(d - 1, XGRID)
+        kernel = (psi[:, None, :] * psi[None, :, :]).reshape(d * d, -1)
+        ref = cumulative_trapezoid(kernel, x=XGRID, axis=1, initial=0.0)
+        assert np.array_equal(_cumulative_kernel(psi, XGRID), ref), d
 
 
 def test_sample_phases_uniform_ks():
