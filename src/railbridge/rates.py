@@ -7,15 +7,18 @@ Both directions are plain per-pulse arithmetic; the one modelling choice
 (a polariser loss factor restoring pre-analyser rates) is isolated in
 `estimate_gamma` and carried in every report.
 
-A Monte Carlo photon-thinning check against the protocol circuit keeps the
-forward formula honest: the formula is a scaling estimate and sits roughly
-a factor two above the exact circuit probability, so the report exposes
-the measured ratio instead of hiding it.
+The forward formula is a scaling estimate and sits roughly a factor two
+above the exact circuit probability, so the report carries the ratio from
+`circuit_consistency` instead of hiding it. A Monte-Carlo photon-thinning
+run, `simulate_triple_rate`, cross-checks the click arithmetic of
+`pattern_probabilities` by an independent route; the tests and the
+benchmark run it, the report does not.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -239,14 +242,24 @@ def simulate_triple_rate(
 ) -> ClickSimulation:
     """Monte Carlo triple-coincidence count by per-photon thinning.
 
-    Each pulse draws a Fock occupation of the three counter modes from the
+    Each pulse takes a Fock occupation of the three counter modes from the
     exact pre-detection state, thins every photon with the detection
     efficiency, and scores a triple when all three counters see at least
     one survivor. No inclusion-exclusion arithmetic is reused, so this is
     an independent route to the same number as the (1,1,1) entry of
     `click_pattern_distribution`, which is computed here from the same
     pre-detection state.
+
+    Sampling is counts first: one multinomial draw gives how many of the
+    n_pulses land on each occupation, which is exactly the histogram of
+    n_pulses independent categorical draws. A counter that holds no photon
+    cannot click, whatever the thinning, so a pulse can score only if every
+    counter holds at least one photon. Only those pulses are expanded and
+    thinned photon by photon; skipping the others changes no pulse's
+    outcome, only how much randomness is spent on it.
     """
+    if isinstance(n_pulses, bool) or not isinstance(n_pulses, numbers.Integral):
+        raise ValueError(f"n_pulses={n_pulses!r} must be an integer")
     if n_pulses <= 0:
         raise ValueError(f"n_pulses={n_pulses} must be positive")
     pre = predetection_state(chi, params, cutoff=cutoff)
@@ -257,8 +270,9 @@ def simulate_triple_rate(
     probs = marginal.ravel() / marginal.sum()
 
     rng = np.random.default_rng(seed)
-    draws = rng.choice(len(keys), size=n_pulses, p=probs)
-    occ_per_pulse = keys[draws]
+    counts = rng.multinomial(n_pulses, probs)
+    lit = np.all(keys >= 1, axis=1)
+    occ_per_pulse = np.repeat(keys[lit], counts[lit], axis=0)
     detected = rng.binomial(occ_per_pulse, params.eta_d)
     n_triples = int(np.sum(np.all(detected >= 1, axis=1)))
 

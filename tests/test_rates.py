@@ -2,11 +2,18 @@
 
 import json
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from railbridge.protocol import INPUT_STATES, SourceParams
+from railbridge.protocol import (
+    INPUT_STATES,
+    SourceParams,
+    counter_marginal,
+    predetection_state,
+)
 from railbridge.rates import (
     MEASURED_TRIPLE_RATE_ERR_HZ,
     MEASURED_TRIPLE_RATE_HZ,
@@ -150,6 +157,61 @@ def test_monte_carlo_matches_click_arithmetic():
 def test_monte_carlo_validation():
     with pytest.raises(ValueError):
         simulate_triple_rate(INPUT_STATES["D"], SourceParams(), 0)
+    for bad in (2.5, True, 1e5):
+        with pytest.raises(ValueError, match=re.escape(f"n_pulses={bad!r}")):
+            simulate_triple_rate(INPUT_STATES["D"], SourceParams(), bad)
+
+
+def _counter_keys_and_probs(chi, params, cutoff=2):
+    marginal = counter_marginal(predetection_state(chi, params, cutoff=cutoff))
+    keys = np.indices(marginal.shape).reshape(marginal.ndim, -1).T
+    return keys, marginal.ravel() / marginal.sum()
+
+
+def _per_pulse_triples(chi, params, n_pulses, seed):
+    """Reference route: one categorical draw and one thinning per pulse."""
+    keys, probs = _counter_keys_and_probs(chi, params)
+    rng = np.random.default_rng(seed)
+    draws = rng.choice(len(keys), size=n_pulses, p=probs)
+    detected = rng.binomial(keys[draws], params.eta_d)
+    return int(np.sum(np.all(detected >= 1, axis=1)))
+
+
+def test_monte_carlo_counts_first_matches_per_pulse_route():
+    params = SourceParams(gamma1=0.5, gamma23=0.4, eta_d=0.7)
+    chi, n = INPUT_STATES["D"], 20_000
+    z_fast, z_ref = [], []
+    for seed in range(200):
+        sim = simulate_triple_rate(chi, params, n, seed=seed)
+        ref = _per_pulse_triples(chi, params, n, seed)
+        z_fast.append((sim.p_mc - sim.p_analytic) / sim.std_error)
+        z_ref.append((ref / n - sim.p_analytic) / sim.std_error)
+    for z in (z_fast, z_ref):
+        assert abs(np.mean(z)) < 0.25
+        assert 0.8 <= np.std(z, ddof=1) <= 1.2
+
+
+def test_monte_carlo_thinning_only_removes_triples():
+    params = SourceParams(gamma1=0.5, gamma23=0.4)
+    chi, n, seed = INPUT_STATES["H"], 50_000, 11
+    lossy = simulate_triple_rate(chi, replace(params, eta_d=0.5), n, seed=seed)
+    clean = simulate_triple_rate(chi, replace(params, eta_d=1.0), n, seed=seed)
+    assert 0 < lossy.n_triples <= clean.n_triples
+    # with unit efficiency every pulse that puts a photon in each counter scores
+    keys, probs = _counter_keys_and_probs(chi, params)
+    counts = np.random.default_rng(seed).multinomial(n, probs)
+    assert clean.n_triples == int(counts[np.all(keys >= 1, axis=1)].sum())
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
+def test_monte_carlo_gate_at_benchmark_point(cutoff):
+    # the engine-sweep check: bench amplitudes, unit-efficiency counters
+    params = replace(SourceParams(), eta_d=1.0)
+    sim = simulate_triple_rate(
+        INPUT_STATES["D"], params, 1_000_000, seed=cutoff, cutoff=cutoff
+    )
+    assert sim.n_pulses == 1_000_000
+    assert sim.consistent(5.0)
 
 
 def test_calibration_report_round_trip():
