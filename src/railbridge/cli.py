@@ -116,13 +116,18 @@ def _read_json(path: str) -> dict:
 
 def _load_density(path: str) -> DensityMatrix:
     obj = _read_json(path)
-    if "rho" in obj and isinstance(obj["rho"], dict):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: not a density-matrix JSON (not an object)")
+    if isinstance(obj.get("rho"), dict):
         obj = obj["rho"]  # accept reconstruction results as well
     for key in ("labels", "cutoff", "re", "im"):
         if key not in obj:
             raise ValueError(f"{path}: not a density-matrix JSON (missing {key!r})")
-    rho = density_from_json_dict(obj)
-    rho.validate()
+    try:
+        rho = density_from_json_dict(obj)
+        rho.validate()
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a valid density matrix: {exc}") from None
     return rho
 
 
@@ -143,19 +148,10 @@ def resolve_seed(config: Config) -> int:
 
 def _effective_config(args: argparse.Namespace) -> Config:
     config = load_config(args.config) if args.config else default_config()
-    updates = {}
-    for flag, key in (
-        ("seed", "seed"),
-        ("cutoff", "cutoff"),
-        ("eta", "eta"),
-        ("eta_d", "eta_d"),
-        ("order", "order"),
-        ("samples", "samples"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            updates[key] = value
-    return replace(config, **updates) if updates else config
+    # each of these flags overrides the config key of the same name
+    flags = ("seed", "cutoff", "eta", "eta_d", "order", "samples")
+    updates = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    return replace(config, **updates)
 
 
 def _manifest(
@@ -197,6 +193,22 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
+def _input_table(
+    inputs: Dict[str, dict], keys: Sequence[str], headers: Sequence[str]
+) -> Tuple[Dict[str, float], str]:
+    """Each fidelity key's mean over the inputs, as "average_<key>", and
+    the table of per-input rows (success probability, then the keys) with
+    an avg row."""
+    means = [float(np.mean([row[k] for row in inputs.values()])) for k in keys]
+    rows = [
+        [name, f"{row['success_probability']:.3e}", *(f"{row[k]:.4f}" for k in keys)]
+        for name, row in inputs.items()
+    ]
+    rows.append(["avg", "", *(f"{m:.4f}" for m in means)])
+    averages = {f"average_{k}": m for k, m in zip(keys, means)}
+    return averages, _table(["input", "p_success", *headers], rows)
+
+
 # ------------------------------------------------------------- subcommands
 
 
@@ -225,40 +237,18 @@ def cmd_simulate(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
             "fidelity_pert": f_pert,
             "state_file": fname,
         }
+    averages, text = _input_table(
+        inputs, ("fidelity", "fidelity_pert"), (f"F({config.order})", "F(pert)")
+    )
     report = {
         "schema": "simulate-1",
         "order": config.order,
         "cutoff": config.cutoff,
         "inputs": inputs,
-        "average_fidelity": float(
-            np.mean([row["fidelity"] for row in inputs.values()])
-        ),
-        "average_fidelity_pert": float(
-            np.mean([row["fidelity_pert"] for row in inputs.values()])
-        ),
+        **averages,
     }
     _write_json(os.path.join(out_dir, "simulate.json"), report, "simulate-1")
     outputs.append("simulate.json")
-    rows = [
-        [
-            name,
-            f"{row['success_probability']:.3e}",
-            f"{row['fidelity']:.4f}",
-            f"{row['fidelity_pert']:.4f}",
-        ]
-        for name, row in inputs.items()
-    ]
-    rows.append(
-        [
-            "avg",
-            "",
-            f"{report['average_fidelity']:.4f}",
-            f"{report['average_fidelity_pert']:.4f}",
-        ]
-    )
-    text = _table(
-        ["input", "p_success", f"F({config.order})", "F(pert)"], rows
-    )
     return outputs, text
 
 
@@ -276,11 +266,10 @@ def cmd_sample(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
 
 
 def cmd_reconstruct(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
-    eta_corr = args.eta if args.eta is not None else config.eta
-    dataset = QuadratureDataset.read_csv(args.data, eta_assumed=eta_corr)
+    dataset = QuadratureDataset.read_csv(args.data, eta_assumed=config.eta)
     opts = ReconstructionOptions(
         cutoff=args.cutoff if args.cutoff is not None else config.tomo_cutoff,
-        eta_correction=eta_corr,
+        eta_correction=config.eta,
     )
     result = maxlik_reconstruct(dataset, opts)
     report = {"schema": "reconstruct-1"}
@@ -298,11 +287,15 @@ def cmd_reconstruct(args, config: Config, out_dir: str) -> Tuple[List[str], str]
 
 
 def cmd_wigner(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
-    rho = _load_density(args.state)
     lo, hi, n = args.grid
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"wigner grid MIN and MAX must be finite, got {lo}, {hi}")
+    if not float(n).is_integer():
+        raise ValueError(f"wigner grid N must be a whole number, got {n}")
     n = int(n)
     if n < 2:
         raise ValueError(f"wigner grid needs at least 2 points, got {n}")
+    rho = _load_density(args.state)
     axis = np.linspace(lo, hi, n)
     w = wigner(rho, axis, axis)
     fname = "wigner.csv"
@@ -450,6 +443,11 @@ def cmd_pipeline(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
         inputs[name] = row
     swap_outputs, swap_section = _pipeline_swap(config, seed, out_dir)
     outputs.extend(swap_outputs)
+    averages, table = _input_table(
+        inputs,
+        ("fidelity_corrected", "fidelity_uncorrected"),
+        ("F(corrected)", "F(uncorrected)"),
+    )
     report = {
         "schema": "pipeline-1",
         "teleport": {
@@ -457,40 +455,17 @@ def cmd_pipeline(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
             "samples_per_state": config.samples,
             "eta": config.eta,
             "inputs": inputs,
-            "average_fidelity_corrected": float(
-                np.mean([r["fidelity_corrected"] for r in inputs.values()])
-            ),
-            "average_fidelity_uncorrected": float(
-                np.mean([r["fidelity_uncorrected"] for r in inputs.values()])
-            ),
+            **averages,
         },
         "swap": swap_section,
     }
     _write_json(os.path.join(out_dir, "pipeline.json"), report, "pipeline-1")
     outputs.append("pipeline.json")
-    rows = [
-        [
-            name,
-            f"{row['success_probability']:.3e}",
-            f"{row['fidelity_corrected']:.4f}",
-            f"{row['fidelity_uncorrected']:.4f}",
-        ]
-        for name, row in inputs.items()
-    ]
-    tele = report["teleport"]
-    rows.append(
-        [
-            "avg",
-            "",
-            f"{tele['average_fidelity_corrected']:.4f}",
-            f"{tele['average_fidelity_uncorrected']:.4f}",
-        ]
-    )
     wit_c = swap_section["witness_corrected"]["fidelity_to_max_entangled"]
     wit_u = swap_section["witness_uncorrected"]["fidelity_to_max_entangled"]
     text = "\n".join(
         [
-            _table(["input", "p_success", "F(corrected)", "F(uncorrected)"], rows),
+            table,
             "",
             f"swap: F(corrected) = {swap_section['fidelity_corrected']:.4f}, "
             f"F(uncorrected) = {swap_section['fidelity_uncorrected']:.4f}",

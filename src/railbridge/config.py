@@ -15,7 +15,7 @@ values for flag-only invocations.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, Optional
+from typing import Dict, Optional, get_args, get_type_hints
 
 from .protocol import DEFAULT_CUTOFF, SourceParams
 from .rates import RateModel
@@ -72,28 +72,8 @@ class Config:
 # required in every loaded file; the rest default
 REQUIRED_KEYS = ("gamma1", "gamma23", "eta_d", "eta", "order", "cutoff", "seed")
 
-_OPTIONAL_FLOAT = object()  # sentinel: float or the word none
-_OPTIONAL_INT = object()  # sentinel: int or the word none
-
-KEY_TYPES: Dict[str, object] = {
-    "gamma1": float,
-    "gamma23": float,
-    "alpha": _OPTIONAL_FLOAT,
-    "alpha_phase": float,
-    "eta_d": float,
-    "order": str,
-    "cutoff": int,
-    "eta": float,
-    "tomo_cutoff": int,
-    "samples": int,
-    "seed": _OPTIONAL_INT,
-    "R_L": float,
-    "R_alpha": float,
-    "R_gamma1": float,
-    "R_gamma23": float,
-    "R_cc": float,
-    "projector_loss_factor": float,
-}
+# key -> annotated type; Optional[T] takes T or the word none
+KEY_TYPES: Dict[str, object] = get_type_hints(Config)
 
 
 def default_config() -> Config:
@@ -102,10 +82,10 @@ def default_config() -> Config:
 
 def _parse_value(key: str, raw: str, lineno: int) -> object:
     kind = KEY_TYPES[key]
-    if kind in (_OPTIONAL_FLOAT, _OPTIONAL_INT):
+    if get_args(kind):
         if raw.lower() == "none":
             return None
-        kind = float if kind is _OPTIONAL_FLOAT else int
+        kind = get_args(kind)[0]
     if kind is str:
         return raw
     try:

@@ -163,15 +163,17 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
 
-    def validate(self, atol: float = 1e-10, eig_tol: float = 1e-9) -> None:
-        """Check Hermiticity, unit trace and positivity within tolerances."""
+    def validate(self) -> None:
+        """Check Hermiticity and unit trace to 1e-10, positivity to 1e-9."""
         m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > atol:
+        if not np.all(np.isfinite(m)):
+            raise ValueError("density matrix has non-finite entries")
+        if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(m).real - 1.0) > atol or abs(np.trace(m).imag) > atol:
+        if abs(np.trace(m).real - 1.0) > 1e-10 or abs(np.trace(m).imag) > 1e-10:
             raise ValueError("density matrix trace differs from 1")
         w = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
-        if w.min() < -eig_tol:
+        if w.min() < -1e-9:
             raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
 
 
@@ -195,12 +197,12 @@ def norm(state: PureState) -> float:
     return math.sqrt(float(np.sum(np.abs(state.array) ** 2)))
 
 
-def normalize(state: Union[PureState, DensityMatrix], tol: float = PRUNE_TOL):
+def normalize(state: Union[PureState, DensityMatrix]):
     """Scale to unit norm/trace.
 
     Pure states additionally get the global-phase convention: the first
     nonzero amplitude in lexicographic basis order is made real non-negative.
-    Amplitudes at or below ``tol`` times the norm are set to zero.
+    Amplitudes at or below ``PRUNE_TOL`` times the norm are set to zero.
     """
     if isinstance(state, DensityMatrix):
         tr = np.trace(state.matrix)
@@ -212,9 +214,9 @@ def normalize(state: Union[PureState, DensityMatrix], tol: float = PRUNE_TOL):
         raise NullOutcomeError("cannot normalize a zero state")
     flat = state.array.ravel()
     mag = np.abs(flat)
-    first = int(np.argmax(mag > tol))
-    phase = flat[first] / mag[first] if mag[first] > tol else 1.0
-    out = np.where(mag > tol * n, flat * (1.0 / (n * phase)), 0.0)
+    first = int(np.argmax(mag > PRUNE_TOL))
+    phase = flat[first] / mag[first] if mag[first] > PRUNE_TOL else 1.0
+    out = np.where(mag > PRUNE_TOL * n, flat * (1.0 / (n * phase)), 0.0)
     return PureState(state.register, out.reshape(state.register.dims))
 
 
@@ -294,27 +296,15 @@ def project_density(
     if tuple(bra.register.cutoffs) != tuple(reg.cutoffs[i] for i in bra_pos):
         raise ValueError("bra cutoffs do not match the projected modes")
     keep_pos = [i for i in range(reg.n_modes) if i not in bra_pos]
-    keep_reg = ModeRegister(
-        tuple(reg.labels[i] for i in keep_pos),
-        tuple(reg.cutoffs[i] for i in keep_pos),
-    )
+    keep_reg = reg.subset([reg.labels[i] for i in keep_pos])
+    # axis i of the (dims + dims) view is row mode i, axis n + i column mode i
     n = reg.n_modes
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row, col = letters[:n], letters[n : 2 * n]
-    sub = (
-        "".join(row[i] for i in bra_pos)
-        + ","
-        + row
-        + col
-        + ","
-        + "".join(col[i] for i in bra_pos)
-        + "->"
-        + "".join(row[i] for i in keep_pos)
-        + "".join(col[i] for i in keep_pos)
-    )
-    v = bra.dense().reshape(bra.register.dims)
-    t = rho.matrix.reshape(reg.dims + reg.dims)
-    out = np.einsum(sub, v.conj(), t, v).reshape(keep_reg.dim, keep_reg.dim)
+    out = np.einsum(
+        bra.array.conj(), bra_pos,
+        rho.matrix.reshape(reg.dims + reg.dims), list(range(2 * n)),
+        bra.array, [n + i for i in bra_pos],
+        keep_pos + [n + i for i in keep_pos],
+    ).reshape(keep_reg.dim, keep_reg.dim)
     p = float(np.real(np.trace(out)))
     if p < NULL_TOL and not allow_null:
         raise NullOutcomeError(f"projection outcome has probability {p:.3e}")
@@ -325,22 +315,15 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
     """Trace out every mode not listed in ``keep`` (result ordered as given)."""
     reg = rho.register
     keep_pos = [reg.index(m) for m in keep]
-    other_pos = [i for i in range(reg.n_modes) if i not in keep_pos]
-    dims = reg.dims
     n = reg.n_modes
-    t = rho.matrix.reshape(dims + dims)
-    # contract each traced mode's row axis with its column axis
-    for p in sorted(other_pos, reverse=True):
-        row_ax = p
-        col_ax = p + len(t.shape) // 2
-        t = np.trace(t, axis1=row_ax, axis2=col_ax)
-    # remaining axes follow the register order of kept modes; reorder to match `keep`
-    kept_sorted = sorted(keep_pos)
-    perm = [kept_sorted.index(p) for p in keep_pos]
-    k = len(keep_pos)
-    t = np.transpose(t, axes=perm + [k + i for i in perm])
+    # a traced mode's column axis reuses its row index, which sums the diagonal
+    cols = [n + i if i in keep_pos else i for i in range(n)]
+    out = np.einsum(
+        rho.matrix.reshape(reg.dims + reg.dims), list(range(n)) + cols,
+        keep_pos + [n + i for i in keep_pos],
+    )
     keep_reg = reg.subset(keep)
-    return DensityMatrix(keep_reg, t.reshape(keep_reg.dim, keep_reg.dim))
+    return DensityMatrix(keep_reg, out.reshape(keep_reg.dim, keep_reg.dim))
 
 
 def embed_operator(

@@ -61,8 +61,8 @@ BELL_CLICK_MODES = ("A_H", "C_H")
 HERALD_CLICK_MODE = "D_H"
 # the three counters of a teleport run, in click-pattern order
 COUNTER_MODES = (*BELL_CLICK_MODES, HERALD_CLICK_MODE)
-# a click pattern less likely than this counts as never observed
-_MIN_CLICK_PROBABILITY = 1e-30
+# an outcome or sector less likely than this counts as never observed
+_NEVER_OBSERVED = 1e-30
 
 
 @dataclass(frozen=True)
@@ -289,7 +289,7 @@ def condition_on_clicks(
     m = t.reshape(keep_reg.dim, -1)
     rho = (t * w).reshape(keep_reg.dim, -1) @ m.conj().T
     p_total = float(np.real(np.trace(rho)))
-    if p_total < _MIN_CLICK_PROBABILITY:
+    if p_total < _NEVER_OBSERVED:
         raise NullOutcomeError(
             f"click pattern has probability {p_total:.3e}"
         )
@@ -338,7 +338,7 @@ def bell_project_ideal(state: PureState) -> Tuple[PureState, float]:
     bra_reg = reg.subset(["A_H", "A_V", "C_H", "C_V"])
     bra = PureState(bra_reg, {(1, 0, 0, 1): _S + 0.0j, (0, 1, 1, 0): _S + 0.0j})
     remainder, p = project(state, bra, allow_null=True)
-    if p < 1e-30:
+    if p < _NEVER_OBSERVED:
         raise NullOutcomeError("state is orthogonal to the projected pair")
     return normalize(remainder), p
 
@@ -354,10 +354,6 @@ def bell_project_physical(
 
 
 # ------------------------------------------------------------- teleportation
-
-
-def _exact_params(params: SourceParams) -> SourceParams:
-    return params if params.order == "exact" else replace(params, order="exact")
 
 
 def _check_exact_cutoff(cutoff: int) -> None:
@@ -383,7 +379,7 @@ def predetection_state(
     inclusion-exclusion formulas they are meant to validate.
     """
     _check_exact_cutoff(cutoff)
-    params = _exact_params(params)
+    params = replace(params, order="exact")
     joint = tensor(
         build_bell_pair(params, cutoff),
         build_resource_omega(params, cutoff),
@@ -512,7 +508,7 @@ def swap_qubit_sector(rho: DensityMatrix) -> Tuple[DensityMatrix, float]:
             idx.append(reg.basis_index(tuple(occ[m] for m in reg.labels)))
     sub = rho.matrix[np.ix_(idx, idx)]
     weight = float(np.real(np.trace(sub)))
-    if weight < 1e-30:
+    if weight < _NEVER_OBSERVED:
         raise NullOutcomeError("no single-photon weight in the D beam")
     # at perturbative order the sector is the whole state, and its trace
     # can round one ulp above 1

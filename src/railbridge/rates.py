@@ -93,7 +93,6 @@ class EfficiencyBudget:
     loss_factor: float
     mode_match: float
     photodiode_qe: float
-    product: float
     measured_eta: float
     drift: float
 
@@ -104,11 +103,10 @@ class EfficiencyBudget:
                 raise ValueError(f"{name}={v} outside [0, 1]")
         if self.drift < 0.0:
             raise ValueError(f"drift={self.drift} is negative")
-        expected = self.loss_factor * self.mode_match * self.photodiode_qe
-        if abs(self.product - expected) > 1e-12:
-            raise ValueError(
-                f"product={self.product} disagrees with factors ({expected})"
-            )
+
+    @property
+    def product(self) -> float:
+        return self.loss_factor * self.mode_match * self.photodiode_qe
 
 
 # ------------------------------------------------------------- estimation
@@ -178,7 +176,6 @@ def efficiency_budget(
         loss_factor=loss_factor,
         mode_match=mode_match,
         photodiode_qe=photodiode_qe,
-        product=loss_factor * mode_match * photodiode_qe,
         measured_eta=measured_eta,
         drift=drift,
     )

@@ -65,6 +65,49 @@ def test_simulate_default_table_and_files(tmp_path, capsys):
         assert os.path.exists(os.path.join(out, name))
 
 
+# exact stdout of the two summary tables; a changed row, column, number
+# format or average shows here
+SIMULATE_DEFAULT_STDOUT = (
+    "input  p_success  F(exact)  F(pert)\n"
+    "-----  ---------  --------  -------\n"
+    "H      8.714e-10  0.9438    1.0000\n"
+    "V      8.997e-10  0.8491    1.0000\n"
+    "D      8.862e-10  0.9036    1.0000\n"
+    "A      8.862e-10  0.9036    1.0000\n"
+    "R      8.853e-10  0.9038    1.0000\n"
+    "L      8.853e-10  0.9038    1.0000\n"
+    "avg               0.9013    1.0000\n"
+)
+
+PIPELINE_SEED1_SAMPLES200_STDOUT = (
+    "input  p_success  F(corrected)  F(uncorrected)\n"
+    "-----  ---------  ------------  --------------\n"
+    "H      8.714e-10  0.9038        0.9439\n"
+    "V      8.997e-10  0.9379        0.4925\n"
+    "D      8.862e-10  0.9408        0.8305\n"
+    "A      8.862e-10  0.6946        0.7476\n"
+    "R      8.853e-10  0.8370        0.7940\n"
+    "L      8.853e-10  0.8225        0.7921\n"
+    "avg               0.8561        0.7667\n"
+    "\n"
+    "swap: F(corrected) = 0.9225, F(uncorrected) = 0.7098\n"
+    "witness overlap: corrected 0.9237, uncorrected 0.7110 (> 0.5 certifies)\n"
+)
+
+
+def test_simulate_default_stdout_is_pinned(tmp_path, capsys):
+    code, stdout, _ = run(capsys, "simulate", "--out", str(tmp_path / "sim"))
+    assert code == 0
+    assert stdout == SIMULATE_DEFAULT_STDOUT
+
+
+def test_pipeline_stdout_is_pinned(tmp_path, capsys):
+    code, stdout, _ = run(capsys, "pipeline", "--seed", "1", "--samples", "200",
+                          "--out", str(tmp_path / "pipe"))
+    assert code == 0
+    assert stdout == PIPELINE_SEED1_SAMPLES200_STDOUT
+
+
 def test_simulate_pert_order_is_ideal(tmp_path, capsys):
     out = str(tmp_path / "sim")
     code, _, _ = run(capsys, "simulate", "--out", out, "--order", "pert")
@@ -185,6 +228,53 @@ def test_wigner_rejects_non_density(tmp_path, capsys):
             assert code == 1, (name, command)
             assert stderr.count("\n") == 1, (name, command)
             assert reason in json.loads(stderr)["error"]["message"], (name, command)
+
+
+def assert_one_error_line(stderr, command):
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1, stderr
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ValueError" and error["command"] == command
+    return error["message"]
+
+
+MALFORMED_DENSITIES = {
+    "null_labels": {"labels": None, "cutoff": 1, "re": [[1, 0], [0, 0]],
+                    "im": [[0, 0], [0, 0]]},
+    "null_cutoff": {"labels": ["B"], "cutoff": None, "re": [[1, 0], [0, 0]],
+                    "im": [[0, 0], [0, 0]]},
+    "bare_number": 5,
+    "nan_entry": {"labels": ["B"], "cutoff": 1, "re": [[math.nan, 0], [0, 0]],
+                  "im": [[0, 0], [0, 0]]},
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MALFORMED_DENSITIES))
+def test_malformed_density_json_fails_as_one_error_line(tmp_path, capsys, shape):
+    bad = tmp_path / f"{shape}.json"
+    bad.write_text(json.dumps(MALFORMED_DENSITIES[shape]))
+    out = tmp_path / "o"
+    for command in ("wigner", "sample"):
+        code, stdout, stderr = run(capsys, command, str(bad), "--out", str(out))
+        assert code == 1 and stdout == "", command
+        assert str(bad) in assert_one_error_line(stderr, command)
+        assert not out.exists(), command
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [("-4", "4", "inf"), ("-4", "4", "2.7"), ("nan", "4", "5")],
+    ids=["infinite_n", "fractional_n", "nan_min"],
+)
+def test_wigner_rejects_degenerate_grid(tmp_path, capsys, grid):
+    state = single_photon_file(tmp_path)
+    out = tmp_path / "w"
+    code, stdout, stderr = run(
+        capsys, "wigner", state, "--out", str(out), "--grid", *grid
+    )
+    assert code == 1 and stdout == ""
+    assert "wigner grid" in assert_one_error_line(stderr, "wigner")
+    assert not out.exists()
 
 
 def test_swap_report(tmp_path, capsys):

@@ -17,7 +17,6 @@ from railbridge.protocol import (
 from railbridge.rates import (
     MEASURED_TRIPLE_RATE_ERR_HZ,
     MEASURED_TRIPLE_RATE_HZ,
-    EfficiencyBudget,
     RateModel,
     calibration_report,
     circuit_consistency,
@@ -121,15 +120,6 @@ def test_efficiency_budget_validation():
         efficiency_budget((1.2, 0.8, 0.8), 0.5, 0.025)
     with pytest.raises(ValueError):
         efficiency_budget((0.8, 0.8, 0.8), 0.5, -0.01)
-    with pytest.raises(ValueError):
-        EfficiencyBudget(
-            loss_factor=0.8,
-            mode_match=0.8,
-            photodiode_qe=0.8,
-            product=0.9,  # disagrees with the factors
-            measured_eta=0.5,
-            drift=0.025,
-        )
 
 
 def test_circuit_consistency_at_bench_params():
