@@ -290,6 +290,8 @@ def cmd_wigner(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
     lo, hi, n = args.grid
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"wigner grid MIN and MAX must be finite, got {lo}, {hi}")
+    if not lo < hi:
+        raise ValueError(f"wigner grid needs MIN < MAX, got {lo}, {hi}")
     if not float(n).is_integer():
         raise ValueError(f"wigner grid N must be a whole number, got {n}")
     n = int(n)

@@ -263,25 +263,6 @@ def to_density(state: PureState) -> DensityMatrix:
     return DensityMatrix(state.register, np.outer(vec, vec.conj()))
 
 
-def branches(
-    state: PureState, keep: Sequence[str]
-) -> Tuple[ModeRegister, ModeRegister, np.ndarray]:
-    """Split a pure state into the ``keep`` modes and the rest.
-
-    Returns the kept register (in the order given), the register of the
-    other modes (in register order) and the amplitude tensor with axes
-    (kept basis index, *other modes): fixing the other modes' occupation
-    leaves the unnormalized kept-mode branch of that occupation.
-    """
-    reg = state.register
-    keep_pos = [reg.index(m) for m in keep]
-    rest_pos = [i for i in range(reg.n_modes) if i not in keep_pos]
-    keep_reg = reg.subset(keep)
-    rest_reg = reg.subset([reg.labels[i] for i in rest_pos])
-    t = np.transpose(state.array, keep_pos + rest_pos)
-    return keep_reg, rest_reg, t.reshape((keep_reg.dim,) + rest_reg.dims)
-
-
 def project_density(
     rho: DensityMatrix, bra: PureState, allow_null: bool = False
 ) -> Tuple[DensityMatrix, float]:
@@ -395,13 +376,27 @@ def density_to_json_dict(rho: DensityMatrix) -> dict:
     }
 
 
+def _whole_number(value) -> int:
+    # JSON Schema's "integer" also admits 2.0; a bool is no photon number
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not float(value).is_integer()
+    ):
+        raise ValueError(f"cutoff {value!r} is not an integer")
+    return int(value)
+
+
 def density_from_json_dict(obj: dict) -> DensityMatrix:
-    labels = tuple(obj["labels"])
+    labels = obj["labels"]
+    if not isinstance(labels, list) or not all(isinstance(m, str) for m in labels):
+        raise ValueError(f"labels {labels!r} are not a list of strings")
+    labels = tuple(labels)
     cutoff = obj["cutoff"]
     cutoffs = (
-        tuple(int(c) for c in cutoff)
-        if isinstance(cutoff, (list, tuple))
-        else tuple(int(cutoff) for _ in labels)
+        tuple(_whole_number(c) for c in cutoff)
+        if isinstance(cutoff, list)
+        else tuple(_whole_number(cutoff) for _ in labels)
     )
     reg = ModeRegister(labels, cutoffs)
     m = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)

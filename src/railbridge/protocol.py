@@ -24,15 +24,17 @@ rate estimates can reuse them.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .elements import (
+    _pair_tensor,
     apply_pair_map,
     click_probability,
     coherent_state,
@@ -46,7 +48,6 @@ from .fock import (
     ModeRegister,
     NullOutcomeError,
     PureState,
-    branches,
     normalize,
     project,
     tensor,
@@ -269,33 +270,6 @@ def _click_weights(
     return w
 
 
-def condition_on_clicks(
-    state: PureState,
-    clicks: Sequence[str],
-    eta_d: float,
-    keep: Sequence[str],
-) -> Tuple[DensityMatrix, float]:
-    """Conditional state of ``keep`` given a click in every listed detector.
-
-    Each entry of ``clicks`` is the mode one counter watches. Modes neither
-    kept nor watched are traced out, as for blocked polariser ports.
-    ``state`` is assumed normalized; returns the normalized conditional
-    density matrix and the click probability.
-    """
-    if set(clicks) & set(keep):
-        raise ValueError("click modes cannot also be kept")
-    keep_reg, rest_reg, t = branches(state, keep)
-    w = _click_weights(rest_reg, clicks, eta_d)
-    m = t.reshape(keep_reg.dim, -1)
-    rho = (t * w).reshape(keep_reg.dim, -1) @ m.conj().T
-    p_total = float(np.real(np.trace(rho)))
-    if p_total < _NEVER_OBSERVED:
-        raise NullOutcomeError(
-            f"click pattern has probability {p_total:.3e}"
-        )
-    return DensityMatrix(keep_reg, rho / p_total), p_total
-
-
 # ---------------------------------------------------------- Bell projection
 
 
@@ -343,16 +317,6 @@ def bell_project_ideal(state: PureState) -> Tuple[PureState, float]:
     return normalize(remainder), p
 
 
-def bell_project_physical(
-    state: PureState,
-    eta_d: float,
-    keep: Sequence[str],
-) -> Tuple[DensityMatrix, float]:
-    """Run the physical circuit and condition on the two-counter coincidence."""
-    out = apply_bell_circuit(state)
-    return condition_on_clicks(out, BELL_CLICK_MODES, eta_d, keep)
-
-
 # ------------------------------------------------------------- teleportation
 
 
@@ -365,6 +329,17 @@ def _check_exact_cutoff(cutoff: int) -> None:
         )
 
 
+def _circuit_input(params: SourceParams, cutoff: int) -> PureState:
+    """The Bell pair on beams A and D beside the resource on C and B."""
+    return tensor(build_bell_pair(params, cutoff), build_resource_omega(params, cutoff))
+
+
+def _herald_rotation(chi: QubitSpec) -> np.ndarray:
+    """2x2 analysis rotation sending the D axis that announces ``chi`` onto D_H."""
+    d = herald_setting_for(chi)
+    return _rotation_to_h(complex(d.a), complex(d.b))
+
+
 def predetection_state(
     chi: QubitSpec,
     params: SourceParams,
@@ -374,22 +349,86 @@ def predetection_state(
 
     The herald analysis rotation maps the D axis that announces ``chi``
     onto D_H, so the herald counter watches D_H and D_V holds the blocked
-    component. The click arithmetic below consumes this state; rate checks
-    also thin its photons sample by sample instead of trusting the same
-    inclusion-exclusion formulas they are meant to validate.
+    component. The click arithmetic reads the same numbers from the shared
+    `_source_pass` instead; this full state serves what needs every mode,
+    the split of the triples by emission pattern.
     """
     _check_exact_cutoff(cutoff)
     params = replace(params, order="exact")
-    joint = tensor(
-        build_bell_pair(params, cutoff),
-        build_resource_omega(params, cutoff),
-    )
-    d = herald_setting_for(chi)
     joint = apply_pair_map(
-        joint, "D_H", "D_V", _rotation_to_h(complex(d.a), complex(d.b))
+        _circuit_input(params, cutoff), "D_H", "D_V", _herald_rotation(chi)
     )
     # renormalize away the weight the cutoff truncation removed in the circuit
     return normalize(apply_bell_circuit(joint))
+
+
+class _SourcePass(NamedTuple):
+    """Read-only reductions of one source point's normalized circuit output S.
+
+    sigma: the (D_H, D_V, B) density weighted by the A_H and C_H click
+    probabilities, with A_V and C_V traced out: the swap's unnormalized
+    output. tau: the (D_H, D_V) density of each (n_A_H, n_C_H) branch, axes
+    (n_A_H, n_C_H, D, D) with D = (n_D_H, n_D_V) flattened. rho_d: the
+    (D_H, D_V) density of S, the sum of the tau.
+    """
+
+    sigma: np.ndarray
+    tau: np.ndarray
+    rho_d: np.ndarray
+
+
+@functools.lru_cache(maxsize=1)
+def _source_pass(params: SourceParams, cutoff: int) -> _SourcePass:
+    """Run the Bell circuit once per source point and keep three reductions.
+
+    The herald rotation is the only step that depends on the input, and it
+    acts on D while the circuit acts on A and C, so the two commute: every
+    input at one point rotates the same S. S itself (5^7 amplitudes at
+    cutoff 4) is not kept. Callers go through the inputs of one point in a
+    row (six teleports, six click distributions, one swap), so one slot
+    serves them all; more would only hold more memory.
+    """
+    s = normalize(apply_bell_circuit(_circuit_input(params, cutoff)))
+    reg = s.register
+    n, nd = cutoff + 1, (cutoff + 1) ** 2
+    axes = [reg.index(m) for m in (*BELL_CLICK_MODES, "A_V", "C_V", "B", "D_H", "D_V")]
+    # axes (n_A_H, n_C_H, (n_A_V, n_C_V, n_B), D): one contiguous copy of S
+    x = np.ascontiguousarray(np.transpose(s.array, axes)).reshape(n, n, -1, nd)
+    del s  # S is not kept; free it before the two copies below
+    xc = x.conj()
+    tau = np.matmul(x.swapaxes(-1, -2), xc)
+    click = click_probability(np.arange(n), params.eta_d)
+    x *= np.multiply.outer(click, click)[:, :, None, None]
+    rows = x.reshape(n**4, n * nd)
+    # rows @ conj rows runs over (B, D) on both sides; reorder to (D, B)
+    sigma = (rows.T @ xc.reshape(n**4, n * nd)).reshape(n, nd, n, nd)
+    sigma = sigma.transpose(1, 0, 3, 2).reshape(nd * n, nd * n)
+    out = _SourcePass(sigma, tau, tau.sum(axis=(0, 1)))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
+def _rotated_diagonal(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """diag(U rho U^dag) for each D-density in the last two axes of ``rho``."""
+    return np.real(np.sum(np.matmul(u, rho) * u.conj(), axis=-1))
+
+
+def _herald_view(
+    chi: QubitSpec, params: SourceParams, cutoff: int
+) -> Tuple[_SourcePass, np.ndarray, float]:
+    """The point's source pass, the herald rotation on D and the rotated norm.
+
+    U is the rotation lifted to the truncated (D_H, D_V) space, a
+    (c+1)^2-square matrix. It drops the D components it would lift above the
+    cutoff, so every probability divides by the norm left, Tr[U^dag U rho_D]:
+    the weight `predetection_state` renormalizes away.
+    """
+    _check_exact_cutoff(cutoff)
+    src = _source_pass(replace(params, order="exact"), cutoff)
+    flat = tuple(_herald_rotation(chi).ravel().tolist())
+    u = _pair_tensor(flat, cutoff, cutoff).reshape((cutoff + 1) ** 2, -1)
+    return src, u, float(np.sum(_rotated_diagonal(u, src.rho_d)))
 
 
 def teleport(
@@ -413,8 +452,17 @@ def teleport(
         joint = tensor(chi_a, build_resource_omega(params, cutoff))
         remainder, p_bell = bell_project_ideal(joint)
         return to_density(remainder), p_herald * p_bell
-    pre = predetection_state(chi, params, cutoff)
-    return condition_on_clicks(pre, COUNTER_MODES, params.eta_d, keep=("B",))
+    src, u, rotated_norm = _herald_view(chi, params, cutoff)
+    n, nd = cutoff + 1, (cutoff + 1) ** 2
+    # the click on the rotated D_H, as the operator U^dag E U on the unrotated D
+    clicks = np.repeat(click_probability(np.arange(n), params.eta_d), n)
+    herald = u.conj().T @ (clicks[:, None] * u)
+    rho = np.tensordot(herald, src.sigma.reshape(nd, n, nd, n), axes=([0, 1], [2, 0]))
+    weight = float(np.real(np.trace(rho)))
+    p = weight / rotated_norm
+    if p < _NEVER_OBSERVED:
+        raise NullOutcomeError(f"click pattern has probability {p:.3e}")
+    return DensityMatrix(ModeRegister(("B",), (cutoff,)), rho / weight), p
 
 
 def ideal_teleport_target(
@@ -459,19 +507,16 @@ def swap_entanglement(
     entangled (|H>_D|1>_B + |V>_D|0>_B)/sqrt(2); exact order keeps the
     multi-pair admixtures the projector cannot filter; it needs cutoff >= 2.
     """
-    if params.order == "exact":
-        _check_exact_cutoff(cutoff)
-    joint = tensor(
-        build_bell_pair(params, cutoff),
-        build_resource_omega(params, cutoff),
-    )
     if params.order == "pert":
-        remainder, p = bell_project_ideal(joint)
+        remainder, p = bell_project_ideal(_circuit_input(params, cutoff))
         return to_density(normalize(remainder)), p
-    out = normalize(apply_bell_circuit(joint))
-    return condition_on_clicks(
-        out, BELL_CLICK_MODES, params.eta_d, keep=("D_H", "D_V", "B")
-    )
+    _check_exact_cutoff(cutoff)
+    sigma = _source_pass(params, cutoff).sigma
+    p = float(np.real(np.trace(sigma)))
+    if p < _NEVER_OBSERVED:
+        raise NullOutcomeError(f"click pattern has probability {p:.3e}")
+    reg = ModeRegister.uniform(["D_H", "D_V", "B"], cutoff)
+    return DensityMatrix(reg, sigma / p), p
 
 
 def ideal_swap_target(
@@ -601,18 +646,24 @@ def click_pattern_distribution(
     eight probabilities sum to 1 up to the cutoff truncation. The (1,1,1)
     entry equals the exact-order teleport probability.
     """
-    pre = predetection_state(chi, params, cutoff)
-    return pattern_probabilities(counter_marginal(pre), params.eta_d)
+    return pattern_probabilities(counter_marginal(chi, params, cutoff), params.eta_d)
 
 
-def counter_marginal(state: PureState) -> np.ndarray:
+def counter_marginal(
+    chi: QubitSpec,
+    params: SourceParams,
+    cutoff: int = DEFAULT_CUTOFF,
+) -> np.ndarray:
     """Joint photon-number distribution of the three counter modes.
 
-    Axes follow COUNTER_MODES; every other mode is summed out.
+    Axes follow COUNTER_MODES; every other mode is summed out. Reads
+    diag(U tau U^dag) / Tr[U^dag U rho_D] off the shared source pass, at
+    exact order whatever ``params.order`` says.
     """
-    reg = state.register
-    axes = [reg.index(m) for m in COUNTER_MODES]
-    return np.einsum(np.abs(state.array) ** 2, list(range(reg.n_modes)), axes)
+    src, u, rotated_norm = _herald_view(chi, params, cutoff)
+    n = cutoff + 1
+    per_d = _rotated_diagonal(u, src.tau).reshape(n, n, n, n)
+    return per_d.sum(axis=-1) / rotated_norm
 
 
 def pattern_probabilities(

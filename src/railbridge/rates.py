@@ -12,7 +12,11 @@ above the exact circuit probability, so the report carries the ratio from
 `circuit_consistency` instead of hiding it. A Monte-Carlo photon-thinning
 run, `simulate_triple_rate`, cross-checks the click arithmetic of
 `pattern_probabilities` by an independent route; the tests and the
-benchmark run it, the report does not.
+benchmark run it, the report does not. Both read the counters' photon
+numbers from `protocol.counter_marginal`, one shared circuit pass per
+source point, so the Monte Carlo checks the click arithmetic and not that
+marginal; the tests check the marginal against the full pre-detection
+state.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .protocol import (
     click_pattern_distribution,
     counter_marginal,
     pattern_probabilities,
-    predetection_state,
     triple_budget,
 )
 
@@ -239,13 +242,13 @@ def simulate_triple_rate(
 ) -> ClickSimulation:
     """Monte Carlo triple-coincidence count by per-photon thinning.
 
-    Each pulse takes a Fock occupation of the three counter modes from the
-    exact pre-detection state, thins every photon with the detection
-    efficiency, and scores a triple when all three counters see at least
-    one survivor. No inclusion-exclusion arithmetic is reused, so this is
-    an independent route to the same number as the (1,1,1) entry of
-    `click_pattern_distribution`, which is computed here from the same
-    pre-detection state.
+    Each pulse takes a Fock occupation of the three counter modes from their
+    exact joint distribution (`counter_marginal`), thins every photon with
+    the detection efficiency, and scores a triple when all three counters
+    see at least one survivor. No inclusion-exclusion arithmetic is reused,
+    so this is an independent route to the same number as the (1,1,1)
+    entry of `click_pattern_distribution`, which is computed here from the
+    same marginal.
 
     Sampling is counts first: one multinomial draw gives how many of the
     n_pulses land on each occupation, which is exactly the histogram of
@@ -259,10 +262,9 @@ def simulate_triple_rate(
         raise ValueError(f"n_pulses={n_pulses!r} must be an integer")
     if n_pulses <= 0:
         raise ValueError(f"n_pulses={n_pulses} must be positive")
-    pre = predetection_state(chi, params, cutoff=cutoff)
     # marginal over the three counter modes; hidden modes are orthogonal
     # bystanders so their probabilities just add up
-    marginal = counter_marginal(pre)
+    marginal = counter_marginal(chi, params, cutoff=cutoff)
     keys = np.indices(marginal.shape).reshape(marginal.ndim, -1).T
     probs = marginal.ravel() / marginal.sum()
 

@@ -244,6 +244,11 @@ MALFORMED_DENSITIES = {
     "null_cutoff": {"labels": ["B"], "cutoff": None, "re": [[1, 0], [0, 0]],
                     "im": [[0, 0], [0, 0]]},
     "bare_number": 5,
+    # loaded as cutoff 1 and the string as the one mode "B" before the checks
+    "fractional_cutoff": {"labels": ["B"], "cutoff": 1.7, "re": [[1, 0], [0, 0]],
+                          "im": [[0, 0], [0, 0]]},
+    "string_labels": {"labels": "B", "cutoff": 1, "re": [[1, 0], [0, 0]],
+                      "im": [[0, 0], [0, 0]]},
     "nan_entry": {"labels": ["B"], "cutoff": 1, "re": [[math.nan, 0], [0, 0]],
                   "im": [[0, 0], [0, 0]]},
 }
@@ -263,8 +268,9 @@ def test_malformed_density_json_fails_as_one_error_line(tmp_path, capsys, shape)
 
 @pytest.mark.parametrize(
     "grid",
-    [("-4", "4", "inf"), ("-4", "4", "2.7"), ("nan", "4", "5")],
-    ids=["infinite_n", "fractional_n", "nan_min"],
+    [("-4", "4", "inf"), ("-4", "4", "2.7"), ("nan", "4", "5"), ("1", "1", "3"),
+     ("4", "-4", "5")],
+    ids=["infinite_n", "fractional_n", "nan_min", "equal_bounds", "reversed_bounds"],
 )
 def test_wigner_rejects_degenerate_grid(tmp_path, capsys, grid):
     state = single_photon_file(tmp_path)

@@ -344,6 +344,20 @@ def test_density_json_uniform_cutoff_is_scalar():
     assert density_to_json_dict(mixed)["cutoff"] == [1, 4]
 
 
+def test_density_json_cutoff_and_labels_types():
+    # the density-1 schema's "integer" admits 2.0; fractions, bools and
+    # labels that are not a list of strings are refused, not coerced
+    obj = density_to_json_dict(to_density(vacuum(ModeRegister.uniform(["a", "b"], 2))))
+    for cutoff in (2.0, [2, 2.0]):
+        assert density_from_json_dict(dict(obj, cutoff=cutoff)).register.cutoffs == (2, 2)
+    for cutoff in (2.5, [2, 1.5], True, "2"):
+        with pytest.raises(ValueError, match="not an integer"):
+            density_from_json_dict(dict(obj, cutoff=cutoff))
+    for labels in ("ab", ["a", 2], None):
+        with pytest.raises(ValueError, match="not a list of strings"):
+            density_from_json_dict(dict(obj, labels=labels))
+
+
 def test_density_validate_flags_bad_matrices():
     reg = ModeRegister.uniform(["a"], 1)
     good = to_density(vacuum(reg))

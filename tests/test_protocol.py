@@ -23,11 +23,9 @@ from railbridge.protocol import (
     SourceParams,
     TripleBudget,
     bell_project_ideal,
-    bell_project_physical,
     build_bell_pair,
     build_resource_omega,
     click_pattern_distribution,
-    condition_on_clicks,
     herald_qubit,
     herald_setting_for,
     ideal_swap_target,
@@ -42,6 +40,8 @@ from railbridge.protocol import (
     triple_budget,
     triple_sector_probabilities,
 )
+
+from oracles import bell_project_physical, condition_on_clicks
 
 SQ2 = math.sqrt(2.0)
 

@@ -8,12 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from railbridge.protocol import (
-    INPUT_STATES,
-    SourceParams,
-    counter_marginal,
-    predetection_state,
-)
+from railbridge.protocol import INPUT_STATES, SourceParams, predetection_state
 from railbridge.rates import (
     MEASURED_TRIPLE_RATE_ERR_HZ,
     MEASURED_TRIPLE_RATE_HZ,
@@ -27,6 +22,8 @@ from railbridge.rates import (
     rate_for_gamma,
     simulate_triple_rate,
 )
+
+from oracles import counter_marginal
 
 
 def test_estimate_eta_d_examples():
