@@ -12,7 +12,6 @@ from .fock import (
     density_to_json_dict,
     loss_channel,
     normalize,
-    partial_trace,
     project,
     project_density,
     tensor,
@@ -20,12 +19,9 @@ from .fock import (
     vacuum,
 )
 from .elements import (
-    beam_splitter,
     coherent_state,
     half_wave_plate,
-    phase_shift,
     polarising_bs,
-    quarter_wave_plate,
     two_mode_squeezer,
 )
 from .protocol import (
@@ -54,14 +50,12 @@ from .tomography import (
     fidelity,
     joint_reconstruct_swapped,
     maxlik_reconstruct,
-    quadrature_povm,
     wigner,
 )
 from .rates import (
     EfficiencyBudget,
     RateModel,
     calibration_report,
-    efficiency_budget,
     estimate_eta_d,
     estimate_gamma,
     predict_triple_rate,

@@ -14,15 +14,18 @@ values for flag-only invocations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Dict, Optional, get_args, get_type_hints
 
 from .protocol import DEFAULT_CUTOFF, SourceParams
 from .rates import RateModel
+from .tomography import ReconstructionOptions
 
 # the bench values live on the physics dataclasses; Config reads them there
 _SOURCE = SourceParams()
 _RATES = RateModel()
+_RECONSTRUCTION = ReconstructionOptions()
 
 
 class ConfigError(ValueError):
@@ -41,7 +44,7 @@ class Config:
     cutoff: int = DEFAULT_CUTOFF
     # homodyne and reconstruction
     eta: float = 0.5
-    tomo_cutoff: int = 4
+    tomo_cutoff: int = _RECONSTRUCTION.cutoff
     samples: int = 2000
     # seed is tri-state: flag > file > RAILBRIDGE_SEED env > 0
     seed: Optional[int] = None
@@ -89,14 +92,19 @@ def _parse_value(key: str, raw: str, lineno: int) -> object:
     if kind is str:
         return raw
     try:
-        if kind is int:
-            return int(raw)
-        return float(raw)
+        value = int(raw) if kind is int else float(raw)
     except ValueError:
         name = "an integer" if kind is int else "a number"
         raise ConfigError(
             f"line {lineno}: value for {key!r} must be {name}, got {raw!r}"
         ) from None
+    # float() takes nan and inf, which no physics key means and strict JSON
+    # cannot hold
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(
+            f"line {lineno}: value for {key!r} must be finite, got {raw!r}"
+        )
+    return value
 
 
 def parse_config(text: str, source: str = "<config>") -> Config:
@@ -139,17 +147,6 @@ def load_config(path: str) -> Config:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     return parse_config(text, source=path)
-
-
-def format_config(config: Config) -> str:
-    """Render a config as parseable text (inverse of parse_config)."""
-    lines = []
-    for f in fields(Config):
-        v = getattr(config, f.name)
-        if v is None:
-            v = "none"
-        lines.append(f"{f.name} = {v}")
-    return "\n".join(lines) + "\n"
 
 
 def to_source_params(config: Config) -> SourceParams:

@@ -18,12 +18,11 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
-from .fock import NULL_TOL, PRUNE_TOL, ModeRegister, PureState, norm
+from .fock import PRUNE_TOL, ModeRegister, PureState
 
 
 @functools.lru_cache(maxsize=64)
@@ -67,22 +66,6 @@ def apply_pair_map(
     return PureState(reg, np.moveaxis(out, (0, 1), (ia, ib)))
 
 
-def beam_splitter(state: PureState, mode_a: str, mode_b: str, t: float) -> PureState:
-    """Beam splitter a -> sqrt(t) a + sqrt(1-t) b, b -> sqrt(1-t) a - sqrt(t) b."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"transmission t={t} outside [0, 1]")
-    r = math.sqrt(1.0 - t)
-    s = math.sqrt(t)
-    U = np.array([[s, r], [r, -s]])
-    return apply_pair_map(state, mode_a, mode_b, U)
-
-
-def phase_shift(state: PureState, mode: str, phi: float) -> PureState:
-    """Multiply each amplitude by e^(i n phi) for n photons in ``mode``."""
-    rot = np.exp(1j * phi) ** state.register.photons(mode)
-    return PureState(state.register, state.array * rot)
-
-
 def _pol_pair(state: PureState, spatial: str) -> Tuple[str, str]:
     h, v = f"{spatial}_H", f"{spatial}_V"
     labels = state.register.labels
@@ -98,22 +81,10 @@ def hwp_matrix(theta: float) -> np.ndarray:
     return np.array([[c, s], [s, -c]], dtype=complex)
 
 
-def qwp_matrix(theta: float) -> np.ndarray:
-    """Quarter-wave plate: phase i on the slow axis, slow axis at ``theta``."""
-    c, s = math.cos(theta), math.sin(theta)
-    R = np.array([[c, -s], [s, c]], dtype=complex)
-    return R @ np.diag([1j, 1.0 + 0.0j]) @ R.conj().T
-
-
 def half_wave_plate(state: PureState, spatial: str, theta: float) -> PureState:
     """HWP with fast axis at ``theta``: [[cos2t, sin2t], [sin2t, -cos2t]]."""
     h, v = _pol_pair(state, spatial)
     return apply_pair_map(state, h, v, hwp_matrix(theta))
-
-
-def quarter_wave_plate(state: PureState, spatial: str, theta: float) -> PureState:
-    h, v = _pol_pair(state, spatial)
-    return apply_pair_map(state, h, v, qwp_matrix(theta))
 
 
 def polarising_bs(state: PureState, spatial_1: str, spatial_2: str) -> PureState:
@@ -127,28 +98,6 @@ def polarising_bs(state: PureState, spatial_1: str, spatial_2: str) -> PureState
     if reg.cutoffs[i1] != reg.cutoffs[i2]:
         raise ValueError("swapped V modes must share a cutoff")
     return PureState(reg, np.swapaxes(state.array, i1, i2))
-
-
-def polariser(
-    state: PureState, spatial: str, angle: float
-) -> Tuple[PureState, float]:
-    """Ideal polariser with transmission axis at ``angle``.
-
-    The transmitted component is rotated onto the H mode and the orthogonal
-    mode is projected onto vacuum (kept in the register, empty). Returns the
-    normalized transmitted state and the transmission probability.
-    """
-    h, v = _pol_pair(state, spatial)
-    c, s = math.cos(angle), math.sin(angle)
-    U = np.array([[c, s], [-s, c]], dtype=complex)  # maps the axis onto H
-    rotated = apply_pair_map(state, h, v, U)
-    passed = rotated.array * (state.register.photons(v) == 0)
-    total = norm(state) ** 2
-    kept = float(np.sum(np.abs(passed) ** 2))
-    p = kept / total if total else 0.0
-    if p > NULL_TOL:
-        passed = passed / math.sqrt(kept)
-    return PureState(state.register, passed), p
 
 
 def two_mode_squeezer(
@@ -216,29 +165,3 @@ def click_probability(n, eta_d: float):
     """
     return 1.0 - (1.0 - eta_d) ** np.asarray(n)
 
-
-@dataclass(frozen=True)
-class ClickPOVM:
-    """Two-outcome POVM of a single-photon counter with efficiency eta_d.
-
-    Both elements are diagonal in the Fock basis: no_click = (1-eta_d)^n,
-    click = 1 - (1-eta_d)^n.
-    """
-
-    eta_d: float
-    cutoff: int
-
-    @property
-    def no_click(self) -> np.ndarray:
-        n = np.arange(self.cutoff + 1)
-        return np.diag((1.0 - self.eta_d) ** n)
-
-    @property
-    def click(self) -> np.ndarray:
-        return np.eye(self.cutoff + 1) - self.no_click
-
-
-def spcm_povm(eta_d: float, cutoff: int) -> ClickPOVM:
-    if not 0.0 <= eta_d <= 1.0:
-        raise ValueError(f"detector efficiency eta_d={eta_d} outside [0, 1]")
-    return ClickPOVM(eta_d=eta_d, cutoff=cutoff)

@@ -177,18 +177,6 @@ class DensityMatrix:
             raise ValueError(f"density matrix has negative eigenvalue {w.min():.3e}")
 
 
-@dataclass(frozen=True)
-class QuantumChannel:
-    """Kraus representation of a completely positive map on k modes."""
-
-    kraus: Tuple[np.ndarray, ...]
-
-    def is_trace_preserving(self, atol: float = 1e-10) -> bool:
-        d = self.kraus[0].shape[1]
-        s = sum(K.conj().T @ K for K in self.kraus)
-        return bool(np.max(np.abs(s - np.eye(d))) <= atol)
-
-
 def vacuum(register: ModeRegister) -> PureState:
     return PureState(register, {tuple(0 for _ in register.labels): 1.0 + 0.0j})
 
@@ -292,61 +280,13 @@ def project_density(
     return DensityMatrix(keep_reg, out), p
 
 
-def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
-    """Trace out every mode not listed in ``keep`` (result ordered as given)."""
-    reg = rho.register
-    keep_pos = [reg.index(m) for m in keep]
-    n = reg.n_modes
-    # a traced mode's column axis reuses its row index, which sums the diagonal
-    cols = [n + i if i in keep_pos else i for i in range(n)]
-    out = np.einsum(
-        rho.matrix.reshape(reg.dims + reg.dims), list(range(n)) + cols,
-        keep_pos + [n + i for i in keep_pos],
-    )
-    keep_reg = reg.subset(keep)
-    return DensityMatrix(keep_reg, out.reshape(keep_reg.dim, keep_reg.dim))
+def loss_channel(eta: float, cutoff: int) -> Tuple[np.ndarray, ...]:
+    """Kraus matrices of pure photon loss with transmission ``eta`` on one mode.
 
-
-def embed_operator(
-    op: np.ndarray, register: ModeRegister, modes: Sequence[str]
-) -> np.ndarray:
-    """Lift an operator acting on ``modes`` to the full register."""
-    pos = [register.index(m) for m in modes]
-    dims = register.dims
-    n = register.n_modes
-    d_t = int(np.prod([dims[p] for p in pos]))
-    if op.shape != (d_t, d_t):
-        raise ValueError(f"operator shape {op.shape} does not match modes {modes}")
-    rest = [i for i in range(n) if i not in pos]
-    d_r = int(np.prod([dims[i] for i in rest], initial=1.0))
-    full = np.kron(op, np.eye(d_r))
-    perm = pos + rest  # axis k of `full` corresponds to register axis perm[k]
-    inv = np.argsort(perm)
-    shape = [dims[p] for p in perm]
-    t = full.reshape(shape + shape)
-    t = np.transpose(t, axes=list(inv) + [n + i for i in inv])
-    d = register.dim
-    return t.reshape(d, d)
-
-
-def apply_channel(
-    rho: DensityMatrix, channel: QuantumChannel, modes: Sequence[str]
-) -> DensityMatrix:
-    """Apply a Kraus channel on a subset of modes: rho -> sum_k K rho K^dag."""
-    out = np.zeros_like(rho.matrix)
-    for K in channel.kraus:
-        F = embed_operator(K, rho.register, modes)
-        out += F @ rho.matrix @ F.conj().T
-    return DensityMatrix(rho.register, out)
-
-
-def loss_channel(eta: float, cutoff: int) -> QuantumChannel:
-    """Pure photon-loss channel with transmission ``eta`` on one mode.
-
-    Kraus operators K_k (k photons lost) have elements
-    <m-k|K_k|m> = sqrt(C(m,k) eta^(m-k) (1-eta)^k); the set is exactly
-    trace preserving on the truncated space because loss never raises the
-    photon number.
+    The channel is rho -> sum_k K_k rho K_k^dag, where K_k (k photons lost)
+    has elements <m-k|K_k|m> = sqrt(C(m,k) eta^(m-k) (1-eta)^k). The set is
+    exactly trace preserving on the truncated space because loss never
+    raises the photon number.
     """
     if not 0.0 <= eta <= 1.0:
         raise ValueError(f"transmission eta={eta} outside [0, 1]")
@@ -360,7 +300,7 @@ def loss_channel(eta: float, cutoff: int) -> QuantumChannel:
             )
         if np.any(K):
             ops.append(K)
-    return QuantumChannel(tuple(ops))
+    return tuple(ops)
 
 
 def density_to_json_dict(rho: DensityMatrix) -> dict:

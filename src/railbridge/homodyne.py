@@ -23,7 +23,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from .fock import DensityMatrix, apply_channel, loss_channel
+from .fock import DensityMatrix, loss_channel
 
 # (x_min, x_max, points); wide enough for every reconstructed-class state
 DEFAULT_GRID = (-6.0, 6.0, 2048)
@@ -105,12 +105,6 @@ class QuadratureDataset:
 
     def __len__(self) -> int:
         return len(self.theta)
-
-    def thetas(self) -> np.ndarray:
-        return self.theta
-
-    def values(self) -> np.ndarray:
-        return self.x
 
     def write_csv(self, path) -> None:
         # .tolist() yields Python floats, whose repr is the shortest
@@ -196,13 +190,12 @@ def sample(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    _single_mode_matrix(rho)
+    matrix = _single_mode_matrix(rho)
     # an invalid operator could hide negative densities behind the CDF table
     rho.validate()
-    label = rho.register.labels[0]
     if eta != 1.0:
-        rho = apply_channel(rho, loss_channel(eta, rho.register.cutoffs[0]), [label])
-    matrix = rho.matrix
+        kraus = loss_channel(eta, rho.register.cutoffs[0])
+        matrix = sum(K @ matrix @ K.conj().T for K in kraus)
     xgrid = np.linspace(*DEFAULT_GRID)
     d = matrix.shape[0]
     cumkernel = _cumulative_kernel(hermite_functions(d - 1, xgrid), xgrid)
@@ -269,8 +262,7 @@ def phase_estimate(dataset: QuadratureDataset, window: int = 50) -> PhaseEstimat
         raise ValueError(
             f"need at least 3 windows of {window} samples to fit a phase, got {n} samples"
         )
-    thetas = dataset.thetas()
-    xs = dataset.values()
+    thetas, xs = dataset.theta, dataset.x
     order = np.argsort(thetas)
     used = n_windows * window
     th = thetas[order][:used].reshape(n_windows, window)

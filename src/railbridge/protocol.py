@@ -120,24 +120,6 @@ class QubitSpec:
         if abs(n - 1.0) > 1e-12:
             raise ValueError(f"qubit amplitudes have norm^2 {n}, expected 1")
 
-    @classmethod
-    def of(cls, a: complex, b: complex) -> "QubitSpec":
-        n = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        if n == 0.0:
-            raise ValueError("qubit amplitudes cannot both vanish")
-        return cls(complex(a) / n, complex(b) / n)
-
-    def orthogonal(self) -> "QubitSpec":
-        return QubitSpec(-self.b.conjugate(), self.a.conjugate())
-
-    def bloch(self) -> Tuple[float, float, float]:
-        a, b = self.a, self.b
-        return (
-            2.0 * (a.conjugate() * b).real,
-            2.0 * (a.conjugate() * b).imag,
-            abs(a) ** 2 - abs(b) ** 2,
-        )
-
 
 _S = 1.0 / math.sqrt(2.0)
 
@@ -517,18 +499,6 @@ def swap_entanglement(
         raise NullOutcomeError(f"click pattern has probability {p:.3e}")
     reg = ModeRegister.uniform(["D_H", "D_V", "B"], cutoff)
     return DensityMatrix(reg, sigma / p), p
-
-
-def ideal_swap_target(
-    params: SourceParams, cutoff: int = DEFAULT_CUTOFF
-) -> PureState:
-    """Target of the swap: gamma1|H>_D|1>_B + alpha|V>_D|0>_B, normalized."""
-    reg = ModeRegister.uniform(["D_H", "D_V", "B"], cutoff)
-    amps = {
-        (1, 0, 1): params.gamma1_amp,
-        (0, 1, 0): params.alpha_amp,
-    }
-    return normalize(PureState(reg, amps))
 
 
 def swap_qubit_sector(rho: DensityMatrix) -> Tuple[DensityMatrix, float]:

@@ -145,18 +145,6 @@ def estimate_gamma(
     return math.sqrt(loss_factor * R / (R_L * eta_d))
 
 
-def rate_for_gamma(
-    gamma: complex, R_L: float, eta_d: float, loss_factor: float = 4.0
-) -> float:
-    """Singles rate a source of amplitude gamma produces; inverts
-    `estimate_gamma` exactly."""
-    if R_L <= 0.0 or eta_d <= 0.0:
-        raise ValueError(f"R_L={R_L} and eta_d={eta_d} must both be > 0")
-    if loss_factor <= 0.0:
-        raise ValueError(f"loss_factor={loss_factor} must be > 0")
-    return abs(gamma) ** 2 * R_L * eta_d / loss_factor
-
-
 def predict_triple_rate(model: RateModel, gammas: Sequence[complex]) -> float:
     """Good-triple rate in Hz from the scaling estimate.
 
@@ -168,20 +156,6 @@ def predict_triple_rate(model: RateModel, gammas: Sequence[complex]) -> float:
     g1, g23 = gammas
     params = SourceParams(gamma1=abs(g1), gamma23=abs(g23), eta_d=model.eta_d)
     return model.R_L * 0.5 * triple_budget(params).p_good
-
-
-def efficiency_budget(
-    factors: Sequence[float], measured_eta: float, drift: float
-) -> EfficiencyBudget:
-    """Budget from (loss transmission, mode match, diode QE) factors."""
-    loss_factor, mode_match, photodiode_qe = (float(f) for f in factors)
-    return EfficiencyBudget(
-        loss_factor=loss_factor,
-        mode_match=mode_match,
-        photodiode_qe=photodiode_qe,
-        measured_eta=measured_eta,
-        drift=drift,
-    )
 
 
 # ---------------------------------------------- circuit consistency checks

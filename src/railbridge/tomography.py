@@ -108,21 +108,6 @@ class ReconstructionResult:
         return self.loglik_trace[-1]
 
 
-def quadrature_povm(theta: float, x: float, eta: float, cutoff: int) -> np.ndarray:
-    """Measurement operator of one quadrature sample at efficiency eta.
-
-    The adjoint loss channel applied to the quadrature eigenprojector, so
-    Tr[rho Pi] equals the density the lossy detector sees at (theta, x)
-    for the pre-loss rho.
-    """
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta={eta} outside (0, 1]")
-    psi = hermite_functions(cutoff, np.array([float(x)]))[:, 0]
-    v = psi * np.exp(1j * theta * np.arange(cutoff + 1))
-    proj = np.outer(v, v.conj())
-    return sum(K.conj().T @ proj @ K for K in loss_channel(eta, cutoff).kraus)
-
-
 def _sample_vectors(thetas: np.ndarray, xs: np.ndarray, cutoff: int) -> np.ndarray:
     """Pre-loss eigenvectors of every sample, stacked as rows (N, cutoff+1)."""
     psi = hermite_functions(cutoff, xs)
@@ -282,8 +267,8 @@ def maxlik_reconstruct(
     """Reconstruct a single-mode state from quadrature samples."""
     if len(data) == 0:
         raise ValueError("cannot reconstruct from an empty dataset")
-    vectors = _sample_vectors(data.thetas(), data.values(), opts.cutoff)
-    feats = _feature_rows(vectors, loss_channel(opts.eta_correction, opts.cutoff).kraus)
+    vectors = _sample_vectors(data.theta, data.x, opts.cutoff)
+    feats = _feature_rows(vectors, loss_channel(opts.eta_correction, opts.cutoff))
     reg = ModeRegister((_FOCK_MODE,), (opts.cutoff,))
     return _run_maxlik(feats[None], np.eye((opts.cutoff + 1) ** 2), opts, reg)
 
@@ -310,9 +295,9 @@ def joint_reconstruct_swapped(
     if min(counts) == 0 or len(set(counts)) > 1:
         listed = ", ".join(f"{name}={n}" for name, n in zip(ANALYSIS_SETTINGS, counts))
         raise ValueError(f"analysis settings need equal nonzero sample counts, got {listed}")
-    kraus = loss_channel(opts.eta_correction, opts.cutoff).kraus
+    kraus = loss_channel(opts.eta_correction, opts.cutoff)
     feats = np.stack([
-        _feature_rows(_sample_vectors(ds.thetas(), ds.values(), opts.cutoff), kraus)
+        _feature_rows(_sample_vectors(ds.theta, ds.x, opts.cutoff), kraus)
         for ds in (datasets[name] for name in ANALYSIS_SETTINGS)
     ])
     to_setting = _setting_maps(np.array(list(ANALYSIS_SETTINGS.values())), opts.cutoff + 1)

@@ -32,8 +32,8 @@ from railbridge.protocol import (
     triple_budget,
 )
 from railbridge.rates import (
+    EfficiencyBudget,
     RateModel,
-    efficiency_budget,
     estimate_gamma,
     predict_triple_rate,
 )
@@ -125,7 +125,7 @@ def test_calibration_arithmetic_bench_values():
     assert abs(g23 - 0.054) < 0.005
     rate = predict_triple_rate(RateModel(), (g1, g23))
     assert abs(rate - 0.12) < 0.01
-    assert abs(efficiency_budget((0.80, 0.81, 0.86), 0.50, 0.025).product - 0.557) < 1e-3
+    assert abs(EfficiencyBudget(0.80, 0.81, 0.86, 0.50, 0.025).product - 0.557) < 1e-3
 
 
 def test_full_pipeline_witness_beats_classical_limit(tmp_path, capsys):

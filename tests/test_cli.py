@@ -11,7 +11,7 @@ import pytest
 
 import railbridge
 from railbridge.cli import main, validate_artifact
-from railbridge.config import Config, format_config
+from railbridge.config import Config
 from railbridge.fock import (
     DensityMatrix,
     ModeRegister,
@@ -20,6 +20,8 @@ from railbridge.fock import (
 )
 from railbridge.homodyne import QuadratureDataset
 from railbridge.tomography import fidelity
+
+from oracles import format_config
 
 
 def run(capsys, *argv):
@@ -334,6 +336,30 @@ def test_rates_rejects_config_eta_d_that_disagrees(tmp_path, capsys):
     assert "eta_d = 0.5" in message and "eta_d = 0.03" in message
     assert "--eta-d" in message
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize(
+    "key, raw, command",
+    [("gamma1", "nan", "simulate"), ("alpha_phase", "inf", "simulate"),
+     ("R_alpha", "nan", "rates")],
+)
+def test_non_finite_config_value_fails_as_one_error_line(
+    tmp_path, capsys, key, raw, command
+):
+    lines = format_config(Config(seed=1)).splitlines()
+    lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} ="))
+    lines[lineno - 1] = f"{key} = {raw}"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    code, stdout, err = run(capsys, command, "--config", str(cfg), "--out", str(out))
+    assert code == 1 and stdout == ""
+    error_lines = err.strip().splitlines()
+    assert len(error_lines) == 1, err
+    error = json.loads(error_lines[0])["error"]
+    assert error["type"] == "ConfigError"
+    assert f"line {lineno}: value for {key!r} must be finite" in error["message"]
+    assert not out.exists()
 
 
 def test_rates_accepts_config_with_derived_eta_d(tmp_path, capsys):

@@ -6,12 +6,13 @@ from railbridge.config import (
     Config,
     ConfigError,
     default_config,
-    format_config,
     load_config,
     parse_config,
     to_rate_model,
     to_source_params,
 )
+
+from oracles import format_config
 
 MINIMAL = """\
 # bench defaults
@@ -62,6 +63,17 @@ def test_bad_value_types_with_line_numbers():
         parse_config(MINIMAL.replace("gamma1 = 0.20", "gamma1 = big"))
     with pytest.raises(ConfigError, match="line 3: expected 'key = value'"):
         parse_config("# header\n\ngamma1 0.2\n")
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["gamma1", "alpha_phase", "R_alpha"])
+def test_non_finite_numbers_rejected_with_line_number(key, raw):
+    # float() parses all three; a run would fail late or write NaN into JSON
+    lines = [line for line in MINIMAL.splitlines() if not line.startswith(key)]
+    lines.append(f"{key} = {raw}")
+    match = rf"line {len(lines)}: value for '{key}' must be finite, got '{raw}'"
+    with pytest.raises(ConfigError, match=match):
+        parse_config("\n".join(lines) + "\n")
 
 
 def test_duplicate_key_flagged():

@@ -43,10 +43,10 @@ def loglik_and_gap(data, rho, eta):
     |v_j><v_j|, so Tr[rho Pi_j] = <v_j| E(rho) |v_j> for the loss channel E.
     """
     cutoff = rho.shape[0] - 1
-    v = hermite_functions(cutoff, data.values()).T * np.exp(
-        1j * np.outer(data.thetas(), np.arange(cutoff + 1))
+    v = hermite_functions(cutoff, data.x).T * np.exp(
+        1j * np.outer(data.theta, np.arange(cutoff + 1))
     )
-    kraus = loss_channel(eta, cutoff).kraus
+    kraus = loss_channel(eta, cutoff)
     lossy = sum(K @ rho @ K.conj().T for K in kraus)
     p = np.real(np.einsum("jm,mn,jn->j", v.conj(), lossy, v))
     weighted = v.T @ (v.conj() / p[:, None])  # sum_j |v_j><v_j| / p_j

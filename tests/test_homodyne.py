@@ -6,7 +6,6 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.special import eval_hermite, factorial
 from scipy.stats import kstest
 
-from railbridge.elements import phase_shift
 from railbridge.fock import DensityMatrix, ModeRegister, PureState, to_density
 from railbridge.homodyne import (
     DEFAULT_GRID,
@@ -104,7 +103,8 @@ def test_pdf_phase_covariance():
     amps /= np.linalg.norm(amps)
     pure = PureState(reg, {(n,): complex(a) for n, a in enumerate(amps)})
     phi, theta = 0.7, 1.1
-    shifted = to_density(phase_shift(pure, "B", phi))
+    # phase shift by phi: the n-photon amplitude picks up e^{i n phi}
+    shifted = to_density(PureState(reg, pure.array * np.exp(1j * phi * np.arange(5))))
     lhs = quadrature_pdf(shifted, theta)(XGRID)
     rhs = quadrature_pdf(to_density(pure), theta - phi)(XGRID)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -121,7 +121,7 @@ def test_mean_quadrature_follows_source_phase():
 
 def test_sample_vacuum_variance():
     ds = sample(single_mode([1.0]), 100_000, seed=5)
-    xs = ds.values()
+    xs = ds.x
     assert abs(xs.var() - 0.5) < 0.01
     assert abs(xs.mean()) < 0.01
 
@@ -129,7 +129,7 @@ def test_sample_vacuum_variance():
 def test_sample_lossy_photon_mixture_variance():
     # eta=0.5 on |1> gives the half vacuum half photon mixture, variance 1.0
     ds = sample(single_mode([0.0, 1.0]), 100_000, eta=0.5, seed=6)
-    assert abs(ds.values().var() - 1.0) < 0.02
+    assert abs(ds.x.var() - 1.0) < 0.02
     assert ds.eta_assumed == 0.5
 
 
@@ -139,7 +139,7 @@ def test_sample_same_seed_identical_bytes(tmp_path):
     sample(rho, 500, seed=42).write_csv(a)
     sample(rho, 500, seed=42).write_csv(b)
     assert a.read_bytes() == b.read_bytes()
-    assert sample(rho, 500, seed=43).values()[0] != sample(rho, 500, seed=42).values()[0]
+    assert sample(rho, 500, seed=43).x[0] != sample(rho, 500, seed=42).x[0]
 
 
 def test_cumulative_kernel_bit_equal_to_scipy():
@@ -153,7 +153,7 @@ def test_cumulative_kernel_bit_equal_to_scipy():
 
 def test_sample_phases_uniform_ks():
     ds = sample(single_mode([0.6, 0.8]), 2000, seed=9)
-    stat = kstest(ds.thetas() / (2 * math.pi), "uniform").statistic
+    stat = kstest(ds.theta / (2 * math.pi), "uniform").statistic
     assert stat < 0.05
 
 
@@ -174,8 +174,8 @@ def test_csv_round_trip_and_errors(tmp_path):
     path = tmp_path / "data.csv"
     ds.write_csv(path)
     back = QuadratureDataset.read_csv(path, eta_assumed=1.0)
-    assert back.thetas().tolist() == ds.thetas().tolist()
-    assert back.values().tolist() == ds.values().tolist()
+    assert back.theta.tolist() == ds.theta.tolist()
+    assert back.x.tolist() == ds.x.tolist()
 
     bad = tmp_path / "bad.csv"
     bad.write_text("theta,x\n0.0,1.0\n")

@@ -18,7 +18,6 @@ from railbridge.protocol import (
     BELL_CLICK_MODES,
     COUNTER_MODES,
     INPUT_STATES,
-    QubitSpec,
     SourceParams,
     _circuit_input,
     _herald_view,
@@ -48,7 +47,7 @@ def random_point(rng):
 
 def random_qubit(rng):
     v = rng.normal(size=4)
-    return QubitSpec.of(complex(v[0], v[1]), complex(v[2], v[3]))
+    return oracles.qubit_of(complex(v[0], v[1]), complex(v[2], v[3]))
 
 
 def assert_matches_reference(chi, params, cutoff):

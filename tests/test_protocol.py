@@ -5,15 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from railbridge.elements import spcm_povm
 from railbridge.fock import (
     DensityMatrix,
     ModeRegister,
     NullOutcomeError,
     PureState,
-    embed_operator,
     normalize,
-    partial_trace,
     tensor,
     to_density,
 )
@@ -28,7 +25,6 @@ from railbridge.protocol import (
     click_pattern_distribution,
     herald_qubit,
     herald_setting_for,
-    ideal_swap_target,
     ideal_swap_target_qubit,
     ideal_teleport_target,
     predetection_state,
@@ -41,7 +37,14 @@ from railbridge.protocol import (
     triple_sector_probabilities,
 )
 
-from oracles import bell_project_physical, condition_on_clicks
+from oracles import (
+    bell_project_physical,
+    condition_on_clicks,
+    embed_operator,
+    partial_trace,
+    qubit_of,
+    spcm_povm,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -56,7 +59,30 @@ def qubit_state(chi, cutoff=2):
 
 def random_qubit(rng):
     v = rng.normal(size=4)
-    return QubitSpec.of(complex(v[0], v[1]), complex(v[2], v[3]))
+    return qubit_of(complex(v[0], v[1]), complex(v[2], v[3]))
+
+
+def orthogonal(q):
+    return QubitSpec(-q.b.conjugate(), q.a.conjugate())
+
+
+def bloch(q):
+    a, b = q.a, q.b
+    return (
+        2.0 * (a.conjugate() * b).real,
+        2.0 * (a.conjugate() * b).imag,
+        abs(a) ** 2 - abs(b) ** 2,
+    )
+
+
+def ideal_swap_target(params, cutoff=2):
+    """Target of the swap: gamma1|H>_D|1>_B + alpha|V>_D|0>_B, normalized."""
+    reg = ModeRegister.uniform(["D_H", "D_V", "B"], cutoff)
+    amps = {
+        (1, 0, 1): params.gamma1_amp,
+        (0, 1, 0): params.alpha_amp,
+    }
+    return normalize(PureState(reg, amps))
 
 
 # ------------------------------------------------------------------- types
@@ -65,7 +91,7 @@ def random_qubit(rng):
 def test_qubit_spec_normalization_guard():
     with pytest.raises(ValueError):
         QubitSpec(1.0, 1.0)
-    q = QubitSpec.of(1.0, 1.0)
+    q = qubit_of(1.0, 1.0)
     assert abs(abs(q.a) ** 2 + abs(q.b) ** 2 - 1.0) < 1e-12
 
 
@@ -73,7 +99,7 @@ def test_qubit_orthogonal_is_orthogonal():
     rng = np.random.default_rng(2)
     for _ in range(5):
         q = random_qubit(rng)
-        o = q.orthogonal()
+        o = orthogonal(q)
         assert abs(q.a.conjugate() * o.a + q.b.conjugate() * o.b) < 1e-12
 
 
@@ -293,7 +319,7 @@ def test_teleport_pert_orthogonal_inputs_stay_orthogonal():
     for _ in range(5):
         chi = random_qubit(rng)
         rho1, _ = teleport(chi, PERT)
-        rho2, _ = teleport(chi.orthogonal(), PERT)
+        rho2, _ = teleport(orthogonal(chi), PERT)
         overlap = float(np.real(np.trace(rho1.matrix @ rho2.matrix)))
         assert overlap < 1e-6
 
@@ -305,7 +331,7 @@ def test_teleport_pert_bloch_map_is_identity():
         x = 2.0 * np.real(m[1, 0])
         y = 2.0 * np.imag(m[1, 0])
         z = np.real(m[0, 0] - m[1, 1])
-        bx, by, bz = chi.bloch()
+        bx, by, bz = bloch(chi)
         assert abs(x - bx) < 1e-9 and abs(y - by) < 1e-9 and abs(z - bz) < 1e-9
 
 

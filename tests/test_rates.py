@@ -12,18 +12,29 @@ from railbridge.protocol import INPUT_STATES, SourceParams, predetection_state
 from railbridge.rates import (
     MEASURED_TRIPLE_RATE_ERR_HZ,
     MEASURED_TRIPLE_RATE_HZ,
+    EfficiencyBudget,
     RateModel,
     calibration_report,
     circuit_consistency,
-    efficiency_budget,
     estimate_eta_d,
     estimate_gamma,
     predict_triple_rate,
-    rate_for_gamma,
     simulate_triple_rate,
 )
 
 from oracles import counter_marginal
+
+
+def rate_for_gamma(
+    gamma: complex, R_L: float, eta_d: float, loss_factor: float = 4.0
+) -> float:
+    """Singles rate a source of amplitude gamma produces; inverts
+    `estimate_gamma` exactly."""
+    if R_L <= 0.0 or eta_d <= 0.0:
+        raise ValueError(f"R_L={R_L} and eta_d={eta_d} must both be > 0")
+    if loss_factor <= 0.0:
+        raise ValueError(f"loss_factor={loss_factor} must be > 0")
+    return abs(gamma) ** 2 * R_L * eta_d / loss_factor
 
 
 def test_estimate_eta_d_examples():
@@ -106,17 +117,17 @@ def test_predict_triple_rate_no_detection():
 
 
 def test_efficiency_budget_bench_values():
-    b = efficiency_budget((0.80, 0.81, 0.86), 0.50, 0.025)
+    b = EfficiencyBudget(0.80, 0.81, 0.86, 0.50, 0.025)
     assert abs(b.product - 0.80 * 0.81 * 0.86) < 1e-15
     assert abs(b.product - 0.557) < 1e-3
-    assert efficiency_budget((1.0, 1.0, 1.0), 1.0, 0.0).product == 1.0
+    assert EfficiencyBudget(1.0, 1.0, 1.0, 1.0, 0.0).product == 1.0
 
 
 def test_efficiency_budget_validation():
     with pytest.raises(ValueError):
-        efficiency_budget((1.2, 0.8, 0.8), 0.5, 0.025)
+        EfficiencyBudget(1.2, 0.8, 0.8, 0.5, 0.025)
     with pytest.raises(ValueError):
-        efficiency_budget((0.8, 0.8, 0.8), 0.5, -0.01)
+        EfficiencyBudget(0.8, 0.8, 0.8, 0.5, -0.01)
 
 
 def test_circuit_consistency_at_bench_params():

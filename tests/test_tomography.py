@@ -8,7 +8,6 @@ from railbridge.fock import (
     DensityMatrix,
     ModeRegister,
     PureState,
-    apply_channel,
     density_from_json_dict,
     loss_channel,
     normalize,
@@ -29,7 +28,6 @@ from railbridge.tomography import (
     fidelity,
     joint_reconstruct_swapped,
     maxlik_reconstruct,
-    quadrature_povm,
     result_to_json_dict,
     wigner,
 )
@@ -60,6 +58,21 @@ def fock_state(n, cutoff=4):
     amps = [0.0] * (cutoff + 1)
     amps[n] = 1.0
     return single_mode(amps, cutoff=cutoff)
+
+
+def quadrature_povm(theta: float, x: float, eta: float, cutoff: int) -> np.ndarray:
+    """Measurement operator of one quadrature sample at efficiency eta.
+
+    The adjoint loss channel applied to the quadrature eigenprojector, so
+    Tr[rho Pi] equals the density the lossy detector sees at (theta, x)
+    for the pre-loss rho.
+    """
+    if not 0.0 < eta <= 1.0:
+        raise ValueError(f"eta={eta} outside (0, 1]")
+    psi = hermite_functions(cutoff, np.array([float(x)]))[:, 0]
+    v = psi * np.exp(1j * theta * np.arange(cutoff + 1))
+    proj = np.outer(v, v.conj())
+    return sum(K.conj().T @ proj @ K for K in loss_channel(eta, cutoff))
 
 
 # ------------------------------------------------------------------ POVM
@@ -95,7 +108,9 @@ def test_povm_adjoint_identity_against_pdf():
     rng = np.random.default_rng(8)
     rho = random_mixed(rng, 4)
     eta = 0.6
-    lossy = apply_channel(rho, loss_channel(eta, 4), ["B"])
+    lossy = DensityMatrix(
+        rho.register, sum(K @ rho.matrix @ K.conj().T for K in loss_channel(eta, 4))
+    )
     for theta, x in [(0.0, 0.3), (1.2, -1.1), (2.7, 2.0), (4.4, 0.0)]:
         lhs = float(np.real(np.trace(rho.matrix @ quadrature_povm(theta, x, eta, 4))))
         rhs = quadrature_pdf(lossy, theta)(x)
@@ -112,7 +127,7 @@ def test_maxlik_recovers_vacuum():
     assert fidelity(res.rho, fock_state(0, cutoff=3)) >= 0.99
     # the fit is a genuine optimum: it must dominate the true state in
     # likelihood (finite-sample ML trades a little fidelity for that)
-    ll_vac = float(np.sum(np.log(hermite_functions(0, data.values())[0] ** 2)))
+    ll_vac = float(np.sum(np.log(hermite_functions(0, data.x)[0] ** 2)))
     assert res.final_loglik >= ll_vac - 1e-6
 
 
@@ -262,9 +277,9 @@ def lifted_joint_fit(datasets, opts):
     blocks = []
     for name, setting in ANALYSIS_SETTINGS.items():
         ds = datasets[name]
-        v = _sample_vectors(ds.thetas(), ds.values(), opts.cutoff)
+        v = _sample_vectors(ds.theta, ds.x, opts.cutoff)
         blocks.append(np.einsum("a,jn->jan", setting, v).reshape(len(ds), -1))
-    kraus = loss_channel(opts.eta_correction, opts.cutoff).kraus
+    kraus = loss_channel(opts.eta_correction, opts.cutoff)
     feats = _feature_rows(np.concatenate(blocks), [np.kron(np.eye(2), K) for K in kraus])
     dim = 2 * (opts.cutoff + 1)
     reg = ModeRegister(("D_pol", "B"), (1, opts.cutoff))
