@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import datetime as _dt
+import functools
 import json
 import math
 import os
@@ -30,11 +31,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import jsonschema
 import numpy as np
+import referencing
 
 from . import __version__
 from .config import (
     Config,
     ConfigError,
+    check_seed,
     default_config,
     load_config,
     to_rate_model,
@@ -71,22 +74,27 @@ from .tomography import (
     wigner,
 )
 
+
+@functools.lru_cache(maxsize=None)
+def _registry() -> referencing.Registry:
+    """Every shipped schema under its $id, so one schema can $ref another's."""
+    schemas = resources.files("railbridge").joinpath("schemas")
+    contents = [
+        json.loads(f.read_text(encoding="utf-8"))
+        for f in schemas.iterdir()
+        if f.name.endswith(".schema.json")
+    ]
+    return referencing.Registry().with_contents((s["$id"], s) for s in contents)
+
+
 # one validator per artifact kind, its schema checked once when built
-_SCHEMA_CACHE: Dict[str, jsonschema.protocols.Validator] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _validator(kind: str) -> jsonschema.protocols.Validator:
-    if kind not in _SCHEMA_CACHE:
-        text = (
-            resources.files("railbridge")
-            .joinpath("schemas", f"{kind}.schema.json")
-            .read_text(encoding="utf-8")
-        )
-        schema = json.loads(text)
-        cls = jsonschema.validators.validator_for(schema)
-        cls.check_schema(schema)
-        _SCHEMA_CACHE[kind] = cls(schema)
-    return _SCHEMA_CACHE[kind]
+    registry = _registry()
+    schema = registry.contents(f"railbridge:{kind}")
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema, registry=registry)
 
 
 def validate_artifact(kind: str, obj: dict) -> None:
@@ -96,8 +104,9 @@ def validate_artifact(kind: str, obj: dict) -> None:
         raise error
 
 
-def _write_json(path: str, obj: dict, kind: str) -> None:
-    validate_artifact(kind, obj)
+def _write_json(path: str, obj: dict) -> None:
+    """Validate obj against the schema it names, then write it."""
+    validate_artifact(obj["schema"], obj)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -138,16 +147,19 @@ def resolve_seed(config: Config) -> int:
     env = os.environ.get("RAILBRIDGE_SEED")
     if env is not None:
         try:
-            return int(env)
+            seed = int(env)
         except ValueError:
             raise ConfigError(
                 f"RAILBRIDGE_SEED={env!r} is not an integer"
             ) from None
+        return check_seed(seed, "RAILBRIDGE_SEED")
     return 0
 
 
 def _effective_config(args: argparse.Namespace) -> Config:
     config = load_config(args.config) if args.config else default_config()
+    if args.seed is not None:
+        check_seed(args.seed, "--seed")
     # each of these flags overrides the config key of the same name
     flags = ("seed", "cutoff", "eta", "eta_d", "order", "samples")
     updates = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
@@ -173,13 +185,7 @@ def _manifest(
         "outputs": sorted(outputs),
         "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
-    _write_json(os.path.join(out_dir, "manifest.json"), manifest, "manifest-1")
-
-
-def _density_file_dict(rho: DensityMatrix) -> dict:
-    out = {"schema": "density-1"}
-    out.update(density_to_json_dict(rho))
-    return out
+    _write_json(os.path.join(out_dir, "manifest.json"), manifest)
 
 
 def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -227,9 +233,8 @@ def cmd_simulate(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
             rho_p, _ = teleport(chi, pert_params, cutoff=config.cutoff)
             f_pert = target_overlap(tvec, rho_p)
         fname = f"state_{name}.json"
-        _write_json(
-            os.path.join(out_dir, fname), _density_file_dict(rho), "density-1"
-        )
+        state = {"schema": "density-1", **density_to_json_dict(rho)}
+        _write_json(os.path.join(out_dir, fname), state)
         outputs.append(fname)
         inputs[name] = {
             "success_probability": p,
@@ -247,7 +252,7 @@ def cmd_simulate(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
         "inputs": inputs,
         **averages,
     }
-    _write_json(os.path.join(out_dir, "simulate.json"), report, "simulate-1")
+    _write_json(os.path.join(out_dir, "simulate.json"), report)
     outputs.append("simulate.json")
     return outputs, text
 
@@ -272,9 +277,8 @@ def cmd_reconstruct(args, config: Config, out_dir: str) -> Tuple[List[str], str]
         eta_correction=config.eta,
     )
     result = maxlik_reconstruct(dataset, opts)
-    report = {"schema": "reconstruct-1"}
-    report.update(result_to_json_dict(result))
-    _write_json(os.path.join(out_dir, "reconstruct.json"), report, "reconstruct-1")
+    report = {"schema": "reconstruct-1", **result_to_json_dict(result)}
+    _write_json(os.path.join(out_dir, "reconstruct.json"), report)
     diag = report["diagnostics"]
     text = (
         f"reconstructed {len(dataset)} samples at cutoff {opts.cutoff}, "
@@ -329,7 +333,7 @@ def cmd_swap(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
         "qubit_sector": density_to_json_dict(sector),
         "full_state": density_to_json_dict(rho_full),
     }
-    _write_json(os.path.join(out_dir, "swap.json"), report, "swap-1")
+    _write_json(os.path.join(out_dir, "swap.json"), report)
     verdict = "entangled" if witness["entangled"] else "not certified"
     text = (
         f"swap success probability {p:.3e}, one-photon sector weight "
@@ -349,9 +353,8 @@ def cmd_rates(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
             f"the config and flags give eta_d = {config.eta_d!r}; make eta_d "
             f"match or drop --eta-d"
         )
-    report = {"schema": "rates-1"}
-    report.update(calibration_report(model, cutoff=config.cutoff))
-    _write_json(os.path.join(out_dir, "rates.json"), report, "rates-1")
+    report = {"schema": "rates-1", **calibration_report(model, cutoff=config.cutoff)}
+    _write_json(os.path.join(out_dir, "rates.json"), report)
     text = (
         f"eta_d = {report['eta_d']:.4f}, gamma1 = {report['gamma1']:.4f}, "
         f"gamma23 = {report['gamma23']:.4f}\n"
@@ -461,7 +464,7 @@ def cmd_pipeline(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
         },
         "swap": swap_section,
     }
-    _write_json(os.path.join(out_dir, "pipeline.json"), report, "pipeline-1")
+    _write_json(os.path.join(out_dir, "pipeline.json"), report)
     outputs.append("pipeline.json")
     wit_c = swap_section["witness_corrected"]["fidelity_to_max_entangled"]
     wit_u = swap_section["witness_uncorrected"]["fidelity_to_max_entangled"]
@@ -578,11 +581,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     created = _outermost_missing(args.out)
     try:
         config = _effective_config(args)
+        # a bad RAILBRIDGE_SEED must fail before any artifact is written
+        seed = resolve_seed(config)
         os.makedirs(args.out, exist_ok=True)
         outputs, text = HANDLERS[args.command](args, config, args.out)
         _manifest(
-            args.out, args.command, ["railbridge", *argv], config,
-            resolve_seed(config), outputs,
+            args.out, args.command, ["railbridge", *argv], config, seed, outputs
         )
         print(text)
         return 0

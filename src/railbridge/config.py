@@ -104,7 +104,16 @@ def _parse_value(key: str, raw: str, lineno: int) -> object:
         raise ConfigError(
             f"line {lineno}: value for {key!r} must be finite, got {raw!r}"
         )
+    if key == "seed":
+        check_seed(value, f"line {lineno}: value for 'seed'")
     return value
+
+
+def check_seed(seed: int, source: str) -> int:
+    """Return seed if numpy's default_rng takes it; source names its origin."""
+    if seed < 0:
+        raise ConfigError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def parse_config(text: str, source: str = "<config>") -> Config:

@@ -65,18 +65,17 @@ def _single_mode_matrix(rho: DensityMatrix) -> np.ndarray:
 def quadrature_pdf(rho: DensityMatrix, theta: float) -> Callable[[object], object]:
     """Probability density of X_theta for a single-mode state.
 
-    Returns a callable mapping x (scalar or array) to the density. The
-    density is real by Hermiticity; the tiny imaginary residue is dropped.
+    Returns a callable mapping x (scalar or array) to the density, the
+    kernel expansion that `sample` draws from at this one phase.
     """
     m = _single_mode_matrix(rho)
     d = m.shape[0]
-    phases = np.exp(1j * theta * np.arange(d))
-    weights = np.real_if_close(phases.conj()[:, None] * m * phases[None, :], tol=0)
+    weights = _phase_coefficients(m, np.array([theta])).reshape(d, d)
 
     def pdf(x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
         psi = hermite_functions(d - 1, arr)
-        vals = np.real(np.einsum("mx,mn,nx->x", psi, weights, psi))
+        vals = np.einsum("mx,mn,nx->x", psi, weights, psi)
         return vals if np.ndim(x) else float(vals[0])
 
     return pdf

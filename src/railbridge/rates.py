@@ -125,7 +125,8 @@ def estimate_eta_d(R_cc: float, R_gamma23: float) -> float:
 
 
 def estimate_gamma(
-    R: float, R_L: float, eta_d: float, loss_factor: float = 4.0
+    R: float, R_L: float, eta_d: float,
+    loss_factor: float = RateModel.projector_loss_factor,
 ) -> float:
     """Emission amplitude from a singles rate.
 

@@ -420,6 +420,39 @@ def test_bad_env_seed(tmp_path, capsys, monkeypatch):
     assert "RAILBRIDGE_SEED" in json.loads(stderr)["error"]["message"]
 
 
+@pytest.mark.parametrize("command", ["simulate", "sample"])
+@pytest.mark.parametrize("source", ["flag", "config", "env"])
+def test_negative_seed_fails_as_one_error_line_naming_its_source(
+    tmp_path, capsys, monkeypatch, source, command
+):
+    monkeypatch.delenv("RAILBRIDGE_SEED", raising=False)
+    argv = [command]
+    if command == "sample":
+        argv.append(single_photon_file(tmp_path))
+    if source == "flag":
+        argv += ["--seed", "-1"]
+        named = "--seed"
+    elif source == "config":
+        text = format_config(Config(seed=-1))
+        lineno = text.splitlines().index("seed = -1") + 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        argv += ["--config", str(cfg)]
+        named = f"{cfg}: line {lineno}: value for 'seed'"
+    else:
+        monkeypatch.setenv("RAILBRIDGE_SEED", "-1")
+        named = "RAILBRIDGE_SEED"
+    out = tmp_path / "o"
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert code == 1 and stdout == ""
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1, stderr
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ConfigError" and error["command"] == command
+    assert error["message"] == f"{named} must be >= 0, got -1"
+    assert not out.exists()
+
+
 
 def test_simulate_exact_cutoff_one_fails_as_json(tmp_path, capsys):
     code, stdout, stderr = run(
