@@ -67,6 +67,8 @@ class Config:
             raise ConfigError(f"samples={self.samples} must be >= 1")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError(f"eta={self.eta} outside (0, 1]")
+        if self.seed is not None:
+            check_seed(self.seed, "seed")
 
     def to_dict(self) -> Dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

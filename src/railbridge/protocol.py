@@ -322,6 +322,89 @@ def _herald_rotation(chi: QubitSpec) -> np.ndarray:
     return _rotation_to_h(complex(d.a), complex(d.b))
 
 
+class _SourcePass(NamedTuple):
+    """Read-only products of one source point's normalized circuit output S.
+
+    s: S itself, whose amplitudes are a register-order view of one
+    contiguous copy with axes (n_A_H, n_C_H, n_A_V, n_C_V, n_B, n_D_H,
+    n_D_V), the order `_bell_major` reads. tau: the (D_H, D_V) density of
+    each (n_A_H, n_C_H) branch, axes (n_A_H, n_C_H, D, D) with D =
+    (n_D_H, n_D_V) flattened. rho_d: the (D_H, D_V) density of S, the sum
+    of the tau. None of them depends on the detection efficiency.
+    """
+
+    s: PureState
+    tau: np.ndarray
+    rho_d: np.ndarray
+
+
+# the projector counters' modes first, the herald's D modes last
+_BELL_MAJOR = (*BELL_CLICK_MODES, "A_V", "C_V", "B", "D_H", "D_V")
+
+
+def _bell_major(s: PureState) -> np.ndarray:
+    """S with axes (n_A_H, n_C_H, (n_A_V, n_C_V, n_B), D), no copy for a pass's S."""
+    reg = s.register
+    n, nd = reg.cutoffs[0] + 1, (reg.cutoffs[0] + 1) ** 2
+    x = np.transpose(s.array, [reg.index(m) for m in _BELL_MAJOR])
+    return np.ascontiguousarray(x).reshape(n, n, -1, nd)
+
+
+def _source_pass(params: SourceParams, cutoff: int) -> _SourcePass:
+    """Run the Bell circuit once per source point and keep S with two reductions.
+
+    The herald rotation is the only step that depends on the input, and it
+    acts on D while the circuit acts on A and C, so the two commute: every
+    input at one point rotates the same S. The detection efficiency enters
+    only the counters' click weights, so the pass is keyed on the point
+    without it: the Monte-Carlo check at unit efficiency, the swap and
+    every teleport at one point share one circuit run, and only σ, the
+    click-weighted swap density, is derived per efficiency
+    (`_swap_density`).
+    """
+    _check_exact_cutoff(cutoff)
+    return _circuit_pass(replace(params, order="exact", eta_d=1.0), cutoff)
+
+
+@functools.lru_cache(maxsize=1)
+def _circuit_pass(params: SourceParams, cutoff: int) -> _SourcePass:
+    # callers go through the inputs of one point in a row (six teleports, six
+    # click distributions, one swap), so one slot serves them all; more would
+    # only hold more memory
+    s = normalize(apply_bell_circuit(_circuit_input(params, cutoff)))
+    axes = [s.register.index(m) for m in _BELL_MAJOR]
+    # S is kept as a register-order view of its one bell-major copy
+    copy = np.ascontiguousarray(np.transpose(s.array, axes))
+    copy.flags.writeable = False
+    s = PureState(s.register, copy.transpose(np.argsort(axes)))
+    x = _bell_major(s)
+    tau = np.matmul(x.swapaxes(-1, -2), x.conj())
+    tau.flags.writeable = False
+    rho_d = tau.sum(axis=(0, 1))
+    rho_d.flags.writeable = False
+    return _SourcePass(s, tau, rho_d)
+
+
+@functools.lru_cache(maxsize=1)
+def _swap_density(params: SourceParams, cutoff: int) -> np.ndarray:
+    """σ: the (D_H, D_V, B) density of S weighted by the A_H and C_H clicks.
+
+    A_V and C_V are traced out; σ is the swap's unnormalized output and the
+    density every teleport at the point rotates. It is the one reduction
+    that depends on ``params.eta_d``; a one-slot cache serves the six
+    teleports and the swap of one point and efficiency.
+    """
+    x = _bell_major(_source_pass(params, cutoff).s)
+    n, nd = cutoff + 1, (cutoff + 1) ** 2
+    click = click_probability(np.arange(n), params.eta_d)
+    rows = (x * np.multiply.outer(click, click)[:, :, None, None]).reshape(n**4, n * nd)
+    # rows @ conj rows runs over (B, D) on both sides; reorder to (D, B)
+    sigma = (rows.T @ x.conj().reshape(n**4, n * nd)).reshape(n, nd, n, nd)
+    sigma = sigma.transpose(1, 0, 3, 2).reshape(nd * n, nd * n)
+    sigma.flags.writeable = False
+    return sigma
+
+
 def predetection_state(
     chi: QubitSpec,
     params: SourceParams,
@@ -331,64 +414,15 @@ def predetection_state(
 
     The herald analysis rotation maps the D axis that announces ``chi``
     onto D_H, so the herald counter watches D_H and D_V holds the blocked
-    component. The click arithmetic reads the same numbers from the shared
-    `_source_pass` instead; this full state serves what needs every mode,
+    component. It is applied to the point's shared circuit output S
+    (`_source_pass`), which is exact because the rotation on D commutes
+    with the circuit on A and C, and the result is renormalized for the
+    weight the truncated rotation drops. The click arithmetic reads the
+    reductions of S instead; this full state serves what needs every mode,
     the split of the triples by emission pattern.
     """
-    _check_exact_cutoff(cutoff)
-    params = replace(params, order="exact")
-    joint = apply_pair_map(
-        _circuit_input(params, cutoff), "D_H", "D_V", _herald_rotation(chi)
-    )
-    # renormalize away the weight the cutoff truncation removed in the circuit
-    return normalize(apply_bell_circuit(joint))
-
-
-class _SourcePass(NamedTuple):
-    """Read-only reductions of one source point's normalized circuit output S.
-
-    sigma: the (D_H, D_V, B) density weighted by the A_H and C_H click
-    probabilities, with A_V and C_V traced out: the swap's unnormalized
-    output. tau: the (D_H, D_V) density of each (n_A_H, n_C_H) branch, axes
-    (n_A_H, n_C_H, D, D) with D = (n_D_H, n_D_V) flattened. rho_d: the
-    (D_H, D_V) density of S, the sum of the tau.
-    """
-
-    sigma: np.ndarray
-    tau: np.ndarray
-    rho_d: np.ndarray
-
-
-@functools.lru_cache(maxsize=1)
-def _source_pass(params: SourceParams, cutoff: int) -> _SourcePass:
-    """Run the Bell circuit once per source point and keep three reductions.
-
-    The herald rotation is the only step that depends on the input, and it
-    acts on D while the circuit acts on A and C, so the two commute: every
-    input at one point rotates the same S. S itself (5^7 amplitudes at
-    cutoff 4) is not kept. Callers go through the inputs of one point in a
-    row (six teleports, six click distributions, one swap), so one slot
-    serves them all; more would only hold more memory.
-    """
-    s = normalize(apply_bell_circuit(_circuit_input(params, cutoff)))
-    reg = s.register
-    n, nd = cutoff + 1, (cutoff + 1) ** 2
-    axes = [reg.index(m) for m in (*BELL_CLICK_MODES, "A_V", "C_V", "B", "D_H", "D_V")]
-    # axes (n_A_H, n_C_H, (n_A_V, n_C_V, n_B), D): one contiguous copy of S
-    x = np.ascontiguousarray(np.transpose(s.array, axes)).reshape(n, n, -1, nd)
-    del s  # S is not kept; free it before the two copies below
-    xc = x.conj()
-    tau = np.matmul(x.swapaxes(-1, -2), xc)
-    click = click_probability(np.arange(n), params.eta_d)
-    x *= np.multiply.outer(click, click)[:, :, None, None]
-    rows = x.reshape(n**4, n * nd)
-    # rows @ conj rows runs over (B, D) on both sides; reorder to (D, B)
-    sigma = (rows.T @ xc.reshape(n**4, n * nd)).reshape(n, nd, n, nd)
-    sigma = sigma.transpose(1, 0, 3, 2).reshape(nd * n, nd * n)
-    out = _SourcePass(sigma, tau, tau.sum(axis=(0, 1)))
-    for a in out:
-        a.flags.writeable = False
-    return out
+    s = _source_pass(params, cutoff).s
+    return normalize(apply_pair_map(s, "D_H", "D_V", _herald_rotation(chi)))
 
 
 def _rotated_diagonal(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -406,8 +440,7 @@ def _herald_view(
     cutoff, so every probability divides by the norm left, Tr[U^dag U rho_D]:
     the weight `predetection_state` renormalizes away.
     """
-    _check_exact_cutoff(cutoff)
-    src = _source_pass(replace(params, order="exact"), cutoff)
+    src = _source_pass(params, cutoff)
     flat = tuple(_herald_rotation(chi).ravel().tolist())
     u = _pair_tensor(flat, cutoff, cutoff).reshape((cutoff + 1) ** 2, -1)
     return src, u, float(np.sum(_rotated_diagonal(u, src.rho_d)))
@@ -434,12 +467,13 @@ def teleport(
         joint = tensor(chi_a, build_resource_omega(params, cutoff))
         remainder, p_bell = bell_project_ideal(joint)
         return to_density(remainder), p_herald * p_bell
-    src, u, rotated_norm = _herald_view(chi, params, cutoff)
+    _, u, rotated_norm = _herald_view(chi, params, cutoff)
     n, nd = cutoff + 1, (cutoff + 1) ** 2
     # the click on the rotated D_H, as the operator U^dag E U on the unrotated D
     clicks = np.repeat(click_probability(np.arange(n), params.eta_d), n)
     herald = u.conj().T @ (clicks[:, None] * u)
-    rho = np.tensordot(herald, src.sigma.reshape(nd, n, nd, n), axes=([0, 1], [2, 0]))
+    sigma = _swap_density(params, cutoff).reshape(nd, n, nd, n)
+    rho = np.tensordot(herald, sigma, axes=([0, 1], [2, 0]))
     weight = float(np.real(np.trace(rho)))
     p = weight / rotated_norm
     if p < _NEVER_OBSERVED:
@@ -492,8 +526,7 @@ def swap_entanglement(
     if params.order == "pert":
         remainder, p = bell_project_ideal(_circuit_input(params, cutoff))
         return to_density(normalize(remainder)), p
-    _check_exact_cutoff(cutoff)
-    sigma = _source_pass(params, cutoff).sigma
+    sigma = _swap_density(params, cutoff)
     p = float(np.real(np.trace(sigma)))
     if p < _NEVER_OBSERVED:
         raise NullOutcomeError(f"click pattern has probability {p:.3e}")

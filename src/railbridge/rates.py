@@ -13,10 +13,12 @@ above the exact circuit probability, so the report carries the ratio from
 run, `simulate_triple_rate`, cross-checks the click arithmetic of
 `pattern_probabilities` by an independent route; the tests and the
 benchmark run it, the report does not. Both read the counters' photon
-numbers from `protocol.counter_marginal`, one shared circuit pass per
-source point, so the Monte Carlo checks the click arithmetic and not that
-marginal; the tests check the marginal against the full pre-detection
-state.
+numbers from `protocol.counter_marginal`, which reads the shared circuit
+pass of the source point. That pass does not depend on the detection
+efficiency, so a unit-efficiency check at a point reuses the circuit run
+of the point's teleports. The Monte Carlo therefore checks the click
+arithmetic and not that marginal; the tests check the marginal against a
+pre-detection state built for one input.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ Nothing in the package calls them. They are:
 * the per-input engine route: the exact-order engine reads every input at
   a source point off one shared pass through the Bell circuit
   (`protocol._source_pass`), and these functions are the route it
-  replaced, which builds the full pre-detection state for one input
-  (`protocol.predetection_state`) and conditions it on the counters'
-  clicks mode by mode;
+  replaced, which rotates the herald's D analysis on the circuit input,
+  runs the circuit for that one input (`predetection_state`) and
+  conditions the result on the counters' clicks mode by mode;
 * dense operator algebra: the click POVM as explicit matrices, an
   operator lifted from some modes to a whole register, and the partial
   trace, which the engine's weighted contractions are checked against;
@@ -16,21 +16,53 @@ Nothing in the package calls them. They are:
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from railbridge.config import Config
-from railbridge.fock import DensityMatrix, ModeRegister, NullOutcomeError, PureState
+from railbridge.elements import apply_pair_map
+from railbridge.fock import (
+    DensityMatrix,
+    ModeRegister,
+    NullOutcomeError,
+    PureState,
+    normalize,
+)
 from railbridge.protocol import (
     _NEVER_OBSERVED,
     BELL_CLICK_MODES,
     COUNTER_MODES,
     QubitSpec,
+    SourceParams,
+    _check_exact_cutoff,
+    _circuit_input,
     _click_weights,
+    _herald_rotation,
     apply_bell_circuit,
 )
+
+
+def circuit_output(params: SourceParams, cutoff: int) -> PureState:
+    """The normalized Bell-circuit output S of one source point, built afresh."""
+    _check_exact_cutoff(cutoff)
+    params = replace(params, order="exact")
+    return normalize(apply_bell_circuit(_circuit_input(params, cutoff)))
+
+
+def predetection_state(chi: QubitSpec, params: SourceParams, cutoff: int) -> PureState:
+    """Exact-order state before the counters, built for one input.
+
+    The herald rotation acts on D of the circuit input, then the circuit
+    runs; the engine instead rotates the shared output S.
+    """
+    _check_exact_cutoff(cutoff)
+    params = replace(params, order="exact")
+    joint = apply_pair_map(
+        _circuit_input(params, cutoff), "D_H", "D_V", _herald_rotation(chi)
+    )
+    return normalize(apply_bell_circuit(joint))
 
 
 def branches(

@@ -433,7 +433,8 @@ def test_negative_seed_fails_as_one_error_line_naming_its_source(
         argv += ["--seed", "-1"]
         named = "--seed"
     elif source == "config":
-        text = format_config(Config(seed=-1))
+        # Config itself rejects seed -1, so render seed 0 and edit that line
+        text = format_config(Config(seed=0)).replace("seed = 0\n", "seed = -1\n")
         lineno = text.splitlines().index("seed = -1") + 1
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text)

@@ -96,6 +96,16 @@ def test_seed_tri_state():
     assert default_config().seed is None
 
 
+def test_config_rejects_a_negative_seed_naming_it():
+    with pytest.raises(ConfigError) as err:
+        Config(seed=-1)
+    assert str(err.value) == "seed must be >= 0, got -1"
+    assert Config(seed=0).seed == 0
+    # a file's seed line keeps its line number in the message
+    with pytest.raises(ConfigError, match=r"line 8: value for 'seed' must be >= 0"):
+        parse_config(MINIMAL.replace("seed = 7", "seed = -2"))
+
+
 def test_format_parse_round_trip():
     cfg = Config(seed=3, alpha=0.21, order="pert")
     assert parse_config(format_config(cfg)) == cfg

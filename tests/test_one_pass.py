@@ -1,10 +1,12 @@
 """The one-pass exact engine against the per-input route it replaced.
 
-Every exact-order teleport, swap and click distribution at a source point
-reads one shared Bell-circuit pass (`protocol._source_pass`). The reference
-builds the full pre-detection state for each input and conditions it on the
-clicks mode by mode (`oracles`). Density matrices must agree to 1e-12
-absolute, probabilities to 1e-12 relative.
+Every exact-order teleport, swap, click distribution and pre-detection
+state at a source point reads one shared Bell-circuit run
+(`protocol._source_pass`), whatever the detection efficiency. The reference
+builds the full pre-detection state for each input, rotating D before the
+circuit, and conditions it on the clicks mode by mode (`oracles`). Density
+matrices and states must agree to 1e-12 absolute, probabilities to 1e-12
+relative.
 """
 
 from dataclasses import replace
@@ -13,16 +15,15 @@ import numpy as np
 import pytest
 
 import oracles
-from railbridge.fock import normalize
+from railbridge import protocol, rates
 from railbridge.protocol import (
     BELL_CLICK_MODES,
     COUNTER_MODES,
     INPUT_STATES,
     SourceParams,
-    _circuit_input,
     _herald_view,
     _source_pass,
-    apply_bell_circuit,
+    _swap_density,
     click_pattern_distribution,
     counter_marginal,
     pattern_probabilities,
@@ -51,7 +52,10 @@ def random_qubit(rng):
 
 
 def assert_matches_reference(chi, params, cutoff):
-    pre = predetection_state(chi, params, cutoff)
+    pre = oracles.predetection_state(chi, params, cutoff)
+    state = predetection_state(chi, params, cutoff)
+    assert state.register == pre.register
+    assert np.max(np.abs(state.array - pre.array)) <= TOL
     rho_ref, p_ref = oracles.condition_on_clicks(
         pre, COUNTER_MODES, params.eta_d, keep=("B",)
     )
@@ -68,7 +72,7 @@ def assert_matches_reference(chi, params, cutoff):
 
 
 def assert_swap_matches_reference(params, cutoff):
-    out = normalize(apply_bell_circuit(_circuit_input(params, cutoff)))
+    out = oracles.circuit_output(params, cutoff)
     rho_ref, p_ref = oracles.condition_on_clicks(
         out, BELL_CLICK_MODES, params.eta_d, keep=("D_H", "D_V", "B")
     )
@@ -99,29 +103,71 @@ def test_one_pass_divides_by_the_weight_the_rotation_drops():
     assert_matches_reference(chi, params, 2)
 
 
-def test_interleaved_points_never_read_a_stale_pass():
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
+def test_interleaved_points_never_read_a_stale_pass(cutoff):
     # the Monte-Carlo check runs the same point with unit efficiency, a scan
-    # moves gamma1, then the first point comes back
+    # moves gamma1 or the efficiency, then the first point comes back
     base = SourceParams(gamma1=0.3, gamma23=0.2, eta_d=0.1)
     chi = INPUT_STATES["A"]
-    for params in (base, replace(base, eta_d=1.0), replace(base, gamma1=0.25), base):
-        assert_matches_reference(chi, params, 3)
-        assert_swap_matches_reference(params, 3)
+    for params in (
+        base,
+        replace(base, eta_d=1.0),
+        replace(base, eta_d=0.45),
+        base,
+        replace(base, gamma1=0.25),
+        replace(base, gamma1=0.25, eta_d=1.0),
+        base,
+    ):
+        assert_matches_reference(chi, params, cutoff)
+        assert_swap_matches_reference(params, cutoff)
+
+
+def test_one_engine_sweep_op_runs_the_circuit_once_per_cutoff(monkeypatch):
+    runs = []
+    circuit = protocol.apply_bell_circuit
+
+    def counted(state):
+        runs.append(state.register.cutoffs[0])
+        return circuit(state)
+
+    monkeypatch.setattr(protocol, "apply_bell_circuit", counted)
+    # a point no other test uses, so no earlier pass is cached for it
+    params = SourceParams(gamma1=0.213, gamma23=0.0517, eta_d=0.0291)
+    for cutoff in (2, 3, 4):
+        for chi in INPUT_STATES.values():
+            teleport(chi, params, cutoff)
+        swap_entanglement(params, cutoff)
+        rates.circuit_consistency(params, cutoff)
+        rates.simulate_triple_rate(
+            INPUT_STATES["D"], replace(params, eta_d=1.0), 10_000, seed=1, cutoff=cutoff
+        )
+        predetection_state(INPUT_STATES["H"], params, cutoff)
+    assert runs == [2, 3, 4]
 
 
 def test_pert_params_share_the_exact_pass():
     # the click distribution is exact-order whatever the params say
     pert = SourceParams(order="pert")
     chi = INPUT_STATES["R"]
-    pre = predetection_state(chi, pert, 2)
+    pre = oracles.predetection_state(chi, pert, 2)
     np.testing.assert_allclose(
         counter_marginal(chi, pert, 2), oracles.counter_marginal(pre), rtol=0, atol=1e-14
+    )
+    np.testing.assert_allclose(
+        predetection_state(chi, pert, 2).array, pre.array, rtol=0, atol=TOL
     )
 
 
 def test_cached_pass_is_read_only():
-    src = _source_pass(SourceParams(), 2)
-    for name, a in src._asdict().items():
+    params = SourceParams()
+    src = _source_pass(params, 2)
+    arrays = {
+        "s": src.s.array,
+        "tau": src.tau,
+        "rho_d": src.rho_d,
+        "sigma": _swap_density(params, 2),
+    }
+    for name, a in arrays.items():
         assert not a.flags.writeable, name
         with pytest.raises(ValueError):
             a[...] = 0.0

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from railbridge.protocol import INPUT_STATES, SourceParams, predetection_state
+from railbridge.protocol import INPUT_STATES, SourceParams
 from railbridge.rates import (
     MEASURED_TRIPLE_RATE_ERR_HZ,
     MEASURED_TRIPLE_RATE_HZ,
@@ -22,7 +22,7 @@ from railbridge.rates import (
     simulate_triple_rate,
 )
 
-from oracles import counter_marginal
+from oracles import counter_marginal, predetection_state
 
 
 def rate_for_gamma(
