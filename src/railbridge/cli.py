@@ -27,7 +27,7 @@ import shutil
 import sys
 from dataclasses import replace
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import jsonschema
 import numpy as np
@@ -64,8 +64,8 @@ from .protocol import (
 )
 from .rates import calibration_report
 from .tomography import (
-    ANALYSIS_SETTINGS,
     ReconstructionOptions,
+    ReconstructionResult,
     entanglement_witness,
     fidelity,
     joint_reconstruct_swapped,
@@ -160,9 +160,12 @@ def _effective_config(args: argparse.Namespace) -> Config:
     config = load_config(args.config) if args.config else default_config()
     if args.seed is not None:
         check_seed(args.seed, "--seed")
-    # each of these flags overrides the config key of the same name
+    # each of these flags overrides the config key of the same name, except
+    # that reconstruct, which simulates nothing, takes --cutoff as tomo_cutoff
     flags = ("seed", "cutoff", "eta", "eta_d", "order", "samples")
     updates = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
+    if args.command == "reconstruct" and "cutoff" in updates:
+        updates["tomo_cutoff"] = updates.pop("cutoff")
     return replace(config, **updates)
 
 
@@ -272,10 +275,7 @@ def cmd_sample(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
 
 def cmd_reconstruct(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
     dataset = QuadratureDataset.read_csv(args.data, eta_assumed=config.eta)
-    opts = ReconstructionOptions(
-        cutoff=args.cutoff if args.cutoff is not None else config.tomo_cutoff,
-        eta_correction=config.eta,
-    )
+    opts = ReconstructionOptions(cutoff=config.tomo_cutoff, eta_correction=config.eta)
     result = maxlik_reconstruct(dataset, opts)
     report = {"schema": "reconstruct-1", **result_to_json_dict(result)}
     _write_json(os.path.join(out_dir, "reconstruct.json"), report)
@@ -366,6 +366,16 @@ def cmd_rates(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
     return ["rates.json"], text
 
 
+def _fit_pair(
+    fit: Callable[..., ReconstructionResult], data, config: Config
+) -> Tuple[ReconstructionResult, ReconstructionResult]:
+    """``fit`` of ``data`` at tomo_cutoff: loss-corrected at eta, then raw."""
+    return tuple(
+        fit(data, ReconstructionOptions(cutoff=config.tomo_cutoff, eta_correction=eta))
+        for eta in (config.eta, 1.0)
+    )
+
+
 def _pipeline_teleport_state(
     name: str,
     idx: int,
@@ -379,14 +389,7 @@ def _pipeline_teleport_state(
     dataset = sample(rho, config.samples, eta=config.eta, seed=seed + idx)
     fname = f"samples_{name}.csv"
     dataset.write_csv(os.path.join(out_dir, fname))
-    raw = maxlik_reconstruct(
-        dataset,
-        ReconstructionOptions(cutoff=config.tomo_cutoff, eta_correction=1.0),
-    )
-    corrected = maxlik_reconstruct(
-        dataset,
-        ReconstructionOptions(cutoff=config.tomo_cutoff, eta_correction=config.eta),
-    )
+    corrected, raw = _fit_pair(maxlik_reconstruct, dataset, config)
     target = to_density(
         ideal_teleport_target(chi, params, cutoff=config.tomo_cutoff)
     )
@@ -404,10 +407,10 @@ def _pipeline_swap(config: Config, seed: int, out_dir: str) -> Tuple[List[str], 
     sector, weight = swap_qubit_sector(rho_full)
     datasets: Dict[str, QuadratureDataset] = {}
     outputs: List[str] = []
-    for j, (setting, vec) in enumerate(ANALYSIS_SETTINGS.items()):
-        bra = PureState(
-            sector.register.subset(["D_pol"]), {(0,): vec[0], (1,): vec[1]}
-        )
+    pol = sector.register.subset(["D_pol"])
+    # the analysis settings are the six canonical qubit states
+    for j, (setting, chi) in enumerate(INPUT_STATES.items()):
+        bra = PureState(pol, {(0,): chi.a, (1,): chi.b})
         conditioned, _ = project_density(sector, bra)
         dataset = sample(
             normalize(conditioned),
@@ -419,12 +422,7 @@ def _pipeline_swap(config: Config, seed: int, out_dir: str) -> Tuple[List[str], 
         dataset.write_csv(os.path.join(out_dir, fname))
         outputs.append(fname)
         datasets[setting] = dataset
-    corrected = joint_reconstruct_swapped(
-        datasets, ReconstructionOptions(cutoff=config.tomo_cutoff, eta_correction=config.eta)
-    )
-    raw = joint_reconstruct_swapped(
-        datasets, ReconstructionOptions(cutoff=config.tomo_cutoff, eta_correction=1.0)
-    )
+    corrected, raw = _fit_pair(joint_reconstruct_swapped, datasets, config)
     target = to_density(ideal_swap_target_qubit(params, cutoff=config.tomo_cutoff))
     section = {
         "success_probability": p,

@@ -57,8 +57,6 @@ class Config:
     projector_loss_factor: float = _RATES.projector_loss_factor
 
     def __post_init__(self) -> None:
-        if self.order not in ("pert", "exact"):
-            raise ConfigError(f"order must be 'pert' or 'exact', got {self.order!r}")
         if self.cutoff < 1:
             raise ConfigError(f"cutoff={self.cutoff} must be >= 1")
         if self.tomo_cutoff < 1:
@@ -69,6 +67,12 @@ class Config:
             raise ConfigError(f"eta={self.eta} outside (0, 1]")
         if self.seed is not None:
             check_seed(self.seed, "seed")
+        # the physics checks live on the dataclasses every command builds
+        try:
+            to_source_params(self)
+            to_rate_model(self)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def to_dict(self) -> Dict[str, object]:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -325,12 +325,11 @@ def _herald_rotation(chi: QubitSpec) -> np.ndarray:
 class _SourcePass(NamedTuple):
     """Read-only products of one source point's normalized circuit output S.
 
-    s: S itself, whose amplitudes are a register-order view of one
-    contiguous copy with axes (n_A_H, n_C_H, n_A_V, n_C_V, n_B, n_D_H,
-    n_D_V), the order `_bell_major` reads. tau: the (D_H, D_V) density of
-    each (n_A_H, n_C_H) branch, axes (n_A_H, n_C_H, D, D) with D =
-    (n_D_H, n_D_V) flattened. rho_d: the (D_H, D_V) density of S, the sum
-    of the tau. None of them depends on the detection efficiency.
+    s: S itself, a plain `PureState` in register order. tau: the (D_H,
+    D_V) density of each (n_A_H, n_C_H) branch, axes (n_A_H, n_C_H, D, D)
+    with D = (n_D_H, n_D_V) flattened. rho_d: the (D_H, D_V) density of
+    S, the sum of the tau. None of them depends on the detection
+    efficiency.
     """
 
     s: PureState
@@ -343,7 +342,7 @@ _BELL_MAJOR = (*BELL_CLICK_MODES, "A_V", "C_V", "B", "D_H", "D_V")
 
 
 def _bell_major(s: PureState) -> np.ndarray:
-    """S with axes (n_A_H, n_C_H, (n_A_V, n_C_V, n_B), D), no copy for a pass's S."""
+    """A contiguous copy of S with axes (n_A_H, n_C_H, (n_A_V, n_C_V, n_B), D)."""
     reg = s.register
     n, nd = reg.cutoffs[0] + 1, (reg.cutoffs[0] + 1) ** 2
     x = np.transpose(s.array, [reg.index(m) for m in _BELL_MAJOR])
@@ -372,11 +371,7 @@ def _circuit_pass(params: SourceParams, cutoff: int) -> _SourcePass:
     # click distributions, one swap), so one slot serves them all; more would
     # only hold more memory
     s = normalize(apply_bell_circuit(_circuit_input(params, cutoff)))
-    axes = [s.register.index(m) for m in _BELL_MAJOR]
-    # S is kept as a register-order view of its one bell-major copy
-    copy = np.ascontiguousarray(np.transpose(s.array, axes))
-    copy.flags.writeable = False
-    s = PureState(s.register, copy.transpose(np.argsort(axes)))
+    s.array.flags.writeable = False
     x = _bell_major(s)
     tau = np.matmul(x.swapaxes(-1, -2), x.conj())
     tau.flags.writeable = False

@@ -39,12 +39,6 @@ from .fock import DensityMatrix, ModeRegister, density_to_json_dict, loss_channe
 from .homodyne import QuadratureDataset, hermite_functions
 from .protocol import INPUT_STATES
 
-# polarisation analysis settings for the joint reconstruction: the six
-# canonical qubit states, occupation 0 = H, 1 = V
-ANALYSIS_SETTINGS: Mapping[str, np.ndarray] = {
-    name: np.array([q.a, q.b], dtype=complex) for name, q in INPUT_STATES.items()
-}
-
 _P_FLOOR = 1e-300
 # certified likelihood gap L* - L, in nats, at which a fit stops
 GAP_TOL = 1e-2
@@ -280,27 +274,29 @@ def joint_reconstruct_swapped(
     """Reconstruct the polarisation x Fock state behind six analysis settings.
 
     Each dataset holds the quadratures recorded while the polarisation
-    analyser projected onto the named qubit state; the product POVM
+    analyser projected onto the named qubit state of `INPUT_STATES`
+    (occupation 0 = H, 1 = V); the product POVM
     (qubit projector) x (lossy quadrature projector) feeds one pooled
     likelihood over all settings. That likelihood weighs every setting
     alike, so all six datasets must hold the same number of samples.
     """
-    unknown = sorted(set(datasets) - set(ANALYSIS_SETTINGS))
+    unknown = sorted(set(datasets) - set(INPUT_STATES))
     if unknown:
         raise ValueError(f"unknown analysis settings: {', '.join(unknown)}")
-    missing = sorted(set(ANALYSIS_SETTINGS) - set(datasets))
+    missing = sorted(set(INPUT_STATES) - set(datasets))
     if missing:
         raise ValueError(f"missing analysis settings: {', '.join(missing)}")
-    counts = [len(datasets[name]) for name in ANALYSIS_SETTINGS]
+    counts = [len(datasets[name]) for name in INPUT_STATES]
     if min(counts) == 0 or len(set(counts)) > 1:
-        listed = ", ".join(f"{name}={n}" for name, n in zip(ANALYSIS_SETTINGS, counts))
+        listed = ", ".join(f"{name}={n}" for name, n in zip(INPUT_STATES, counts))
         raise ValueError(f"analysis settings need equal nonzero sample counts, got {listed}")
     kraus = loss_channel(opts.eta_correction, opts.cutoff)
     feats = np.stack([
         _feature_rows(_sample_vectors(ds.theta, ds.x, opts.cutoff), kraus)
-        for ds in (datasets[name] for name in ANALYSIS_SETTINGS)
+        for ds in (datasets[name] for name in INPUT_STATES)
     ])
-    to_setting = _setting_maps(np.array(list(ANALYSIS_SETTINGS.values())), opts.cutoff + 1)
+    settings = np.array([[q.a, q.b] for q in INPUT_STATES.values()], dtype=complex)
+    to_setting = _setting_maps(settings, opts.cutoff + 1)
     reg = ModeRegister(("D_pol", _FOCK_MODE), (1, opts.cutoff))
     return _run_maxlik(feats, to_setting, opts, reg)
 

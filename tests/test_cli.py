@@ -167,6 +167,24 @@ def test_sample_reconstruct_round_trip(tmp_path, capsys):
     assert fidelity(rho, DensityMatrix(rho.register, target)) > 0.9
 
 
+def test_reconstruct_cutoff_flag_is_recorded_as_tomo_cutoff(tmp_path, capsys):
+    # reconstruct simulates nothing: --cutoff sets the fit's tomo_cutoff
+    state = single_photon_file(tmp_path, cutoff=2)
+    sdir, rdir = str(tmp_path / "s"), str(tmp_path / "r")
+    assert run(capsys, "sample", state, "--out", sdir, "--seed", "8",
+               "--samples", "500")[0] == 0
+    code, stdout, _ = run(
+        capsys, "reconstruct", os.path.join(sdir, "samples.csv"),
+        "--out", rdir, "--cutoff", "3",
+    )
+    assert code == 0
+    assert "at cutoff 3" in stdout
+    config = read_json(os.path.join(rdir, "manifest.json"))["config"]
+    assert config["tomo_cutoff"] == 3
+    assert config["cutoff"] == Config().cutoff
+    assert read_json(os.path.join(rdir, "reconstruct.json"))["rho"]["cutoff"] == 3
+
+
 def test_reconstruct_empty_csv_fails(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("theta_rad,x\n")
@@ -359,6 +377,26 @@ def test_non_finite_config_value_fails_as_one_error_line(
     error = json.loads(error_lines[0])["error"]
     assert error["type"] == "ConfigError"
     assert f"line {lineno}: value for {key!r} must be finite" in error["message"]
+    assert not out.exists()
+
+
+def test_out_of_range_config_physics_fails_at_load(tmp_path, capsys):
+    # sample never builds SourceParams, so only the load can catch gamma1
+    lines = format_config(Config(seed=1)).splitlines()
+    lines = [("gamma1 = 1.5" if line.startswith("gamma1 =") else line) for line in lines]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    code, stdout, err = run(
+        capsys, "sample", single_photon_file(tmp_path), "--config", str(cfg),
+        "--out", str(out),
+    )
+    assert code == 1 and stdout == ""
+    error_lines = err.strip().splitlines()
+    assert len(error_lines) == 1, err
+    error = json.loads(error_lines[0])["error"]
+    assert error["type"] == "ConfigError"
+    assert error["message"].startswith(f"{cfg}: ") and "gamma1" in error["message"]
     assert not out.exists()
 
 

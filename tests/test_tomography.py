@@ -17,7 +17,6 @@ from railbridge.fock import (
 from railbridge.homodyne import QuadratureDataset, hermite_functions, quadrature_pdf, sample
 from railbridge.protocol import INPUT_STATES
 from railbridge.tomography import (
-    ANALYSIS_SETTINGS,
     GAP_TOL,
     ReconstructionOptions,
     ReconstructionResult,
@@ -204,7 +203,8 @@ def ideal_joint_state(cutoff=2):
 
 def joint_datasets(rho_joint, n_per_setting, eta, seed):
     out = {}
-    for i, (name, vec) in enumerate(ANALYSIS_SETTINGS.items()):
+    for i, (name, q) in enumerate(INPUT_STATES.items()):
+        vec = np.array([q.a, q.b])
         bra = PureState(
             rho_joint.register.subset(["D_pol"]), {(0,): vec[0], (1,): vec[1]}
         )
@@ -215,7 +215,8 @@ def joint_datasets(rho_joint, n_per_setting, eta, seed):
 
 
 def test_settings_match_protocol_qubits():
-    for name, vec in ANALYSIS_SETTINGS.items():
+    for name, q in INPUT_STATES.items():
+        vec = np.array([q.a, q.b])
         qubit = INPUT_STATES[name]
         assert np.allclose(vec, [qubit.a, qubit.b])
 
@@ -260,7 +261,7 @@ def test_joint_reconstruction_unequal_counts():
     # a pooled fit of these counts reaches fidelity 0.71 and reports converged
     rho = ideal_joint_state()
     datasets = joint_datasets(rho, 4000, eta=1.0, seed=43)
-    for name, n in zip(ANALYSIS_SETTINGS, [3000, 500, 1000, 4000, 200, 2500]):
+    for name, n in zip(INPUT_STATES, [3000, 500, 1000, 4000, 200, 2500]):
         ds = datasets[name]
         datasets[name] = QuadratureDataset(ds.theta[:n], ds.x[:n])
     with pytest.raises(ValueError, match="H=3000, V=500, D=1000, A=4000, R=200, L=2500"):
@@ -275,7 +276,8 @@ def lifted_joint_fit(datasets, opts):
     then runs on one setting with the identity map.
     """
     blocks = []
-    for name, setting in ANALYSIS_SETTINGS.items():
+    for name, q in INPUT_STATES.items():
+        setting = np.array([q.a, q.b])
         ds = datasets[name]
         v = _sample_vectors(ds.theta, ds.x, opts.cutoff)
         blocks.append(np.einsum("a,jn->jan", setting, v).reshape(len(ds), -1))
