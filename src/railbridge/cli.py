@@ -1,10 +1,12 @@
 """Command-line pipelines: simulate, sample, reconstruct, report.
 
-Every subcommand is a pure function of (config, seed, input files) to an
+Every subcommand is a pure function of the config keys it reads (the
+seed among them for `sample` and `pipeline`) and its input files to an
 output directory: rerunning with the same inputs reproduces the same
-CSV/JSON bytes, and each directory gets exactly one manifest recording the
-effective config, the resolved seed and the files written. All JSON
-artifacts name and validate against a schema shipped with the package.
+CSV/JSON bytes. `COMMANDS` lists those keys; a command takes flags for
+them and no others, and each directory gets exactly one manifest recording
+them and the files written. All JSON artifacts name and validate against
+a schema shipped with the package.
 Everything runs on the calling thread; `pipeline` handles its six
 teleport inputs one after another.
 
@@ -25,7 +27,7 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -62,7 +64,7 @@ from .protocol import (
     target_overlap,
     teleport,
 )
-from .rates import calibration_report
+from .rates import RateModel, calibration_report
 from .tomography import (
     ReconstructionOptions,
     ReconstructionResult,
@@ -157,34 +159,28 @@ def resolve_seed(config: Config) -> int:
 
 
 def _effective_config(args: argparse.Namespace) -> Config:
-    config = load_config(args.config) if args.config else default_config()
-    if args.seed is not None:
-        check_seed(args.seed, "--seed")
-    # each of these flags overrides the config key of the same name, except
-    # that reconstruct, which simulates nothing, takes --cutoff as tomo_cutoff
-    flags = ("seed", "cutoff", "eta", "eta_d", "order", "samples")
-    updates = {k: getattr(args, k) for k in flags if getattr(args, k) is not None}
-    if args.command == "reconstruct" and "cutoff" in updates:
-        updates["tomo_cutoff"] = updates.pop("cutoff")
+    """The config file, or the defaults, with the command's flags folded in."""
+    given = vars(args)
+    config = load_config(given["config"]) if given.get("config") else default_config()
+    if given.get("seed") is not None:
+        check_seed(given["seed"], "--seed")
+    # each flag's dest is the config key it overrides
+    updates = {
+        k: given[k] for k in COMMAND_KEYS[args.command] if given.get(k) is not None
+    }
     return replace(config, **updates)
 
 
 def _manifest(
-    out_dir: str,
-    command: str,
-    argv: Sequence[str],
-    config: Config,
-    seed: int,
-    outputs: List[str],
+    out_dir: str, command: str, argv: Sequence[str], config: Config, outputs: List[str]
 ) -> None:
     manifest = {
-        "schema": "manifest-1",
+        "schema": "manifest-2",
         "artifact": "railbridge",
         "version": __version__,
         "command": command,
         "argv": list(argv),
-        "seed": seed,
-        "config": config.to_dict(),
+        "config": {k: getattr(config, k) for k in COMMAND_KEYS[command]},
         "outputs": sorted(outputs),
         "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
     }
@@ -262,8 +258,7 @@ def cmd_simulate(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
 
 def cmd_sample(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
     rho = _load_density(args.state)
-    seed = resolve_seed(config)
-    dataset = sample(rho, config.samples, eta=config.eta, seed=seed)
+    dataset = sample(rho, config.samples, eta=config.eta, seed=config.seed)
     fname = args.name or "samples.csv"
     dataset.write_csv(os.path.join(out_dir, fname))
     text = (
@@ -377,16 +372,12 @@ def _fit_pair(
 
 
 def _pipeline_teleport_state(
-    name: str,
-    idx: int,
-    config: Config,
-    seed: int,
-    out_dir: str,
+    name: str, idx: int, config: Config, out_dir: str
 ) -> Tuple[str, dict]:
     params = to_source_params(config)
     chi = INPUT_STATES[name]
     rho, p = teleport(chi, params, cutoff=config.cutoff)
-    dataset = sample(rho, config.samples, eta=config.eta, seed=seed + idx)
+    dataset = sample(rho, config.samples, eta=config.eta, seed=config.seed + idx)
     fname = f"samples_{name}.csv"
     dataset.write_csv(os.path.join(out_dir, fname))
     corrected, raw = _fit_pair(maxlik_reconstruct, dataset, config)
@@ -401,7 +392,7 @@ def _pipeline_teleport_state(
     }
 
 
-def _pipeline_swap(config: Config, seed: int, out_dir: str) -> Tuple[List[str], dict]:
+def _pipeline_swap(config: Config, out_dir: str) -> Tuple[List[str], dict]:
     params = to_source_params(config)
     rho_full, p = swap_entanglement(params, cutoff=config.cutoff)
     sector, weight = swap_qubit_sector(rho_full)
@@ -416,7 +407,7 @@ def _pipeline_swap(config: Config, seed: int, out_dir: str) -> Tuple[List[str], 
             normalize(conditioned),
             config.samples,
             eta=config.eta,
-            seed=seed + len(INPUT_STATES) + j,
+            seed=config.seed + len(INPUT_STATES) + j,
         )
         fname = f"swap_samples_{setting}.csv"
         dataset.write_csv(os.path.join(out_dir, fname))
@@ -437,14 +428,13 @@ def _pipeline_swap(config: Config, seed: int, out_dir: str) -> Tuple[List[str], 
 
 
 def cmd_pipeline(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
-    seed = resolve_seed(config)
     outputs: List[str] = []
     inputs: Dict[str, dict] = {}
     for idx, name in enumerate(INPUT_STATES):
-        fname, row = _pipeline_teleport_state(name, idx, config, seed, out_dir)
+        fname, row = _pipeline_teleport_state(name, idx, config, out_dir)
         outputs.append(fname)
         inputs[name] = row
-    swap_outputs, swap_section = _pipeline_swap(config, seed, out_dir)
+    swap_outputs, swap_section = _pipeline_swap(config, out_dir)
     outputs.extend(swap_outputs)
     averages, table = _input_table(
         inputs,
@@ -482,39 +472,47 @@ def cmd_pipeline(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
 # ------------------------------------------------------------------ driver
 
 
-HANDLERS = {
-    "simulate": cmd_simulate,
-    "sample": cmd_sample,
-    "reconstruct": cmd_reconstruct,
-    "wigner": cmd_wigner,
-    "swap": cmd_swap,
-    "rates": cmd_rates,
-    "pipeline": cmd_pipeline,
+_SOURCE_KEYS = ("gamma1", "gamma23", "alpha", "alpha_phase", "eta_d", "order")
+
+# each command's handler, the config keys it reads and its help line: a
+# command takes a flag for each of those keys that has one, and its
+# manifest records exactly these
+COMMANDS: Dict[str, Tuple[Callable, Tuple[str, ...], str]] = {
+    "simulate": (cmd_simulate, (*_SOURCE_KEYS, "cutoff"),
+                 "teleport the six canonical inputs, write states and a table"),
+    "sample": (cmd_sample, ("eta", "samples", "seed"),
+               "draw homodyne samples from a density-matrix JSON"),
+    "reconstruct": (cmd_reconstruct, ("eta", "tomo_cutoff"),
+                    "maximum-likelihood fit of a quadrature CSV"),
+    "wigner": (cmd_wigner, (),
+               "Wigner function of a density-matrix JSON on a square grid"),
+    "swap": (cmd_swap, (*_SOURCE_KEYS, "cutoff"),
+             "heraldless projection: joint state and entanglement witness"),
+    # eta_d only to check it against the one derived from the rates
+    "rates": (cmd_rates, (*(f.name for f in fields(RateModel)), "cutoff", "eta_d"),
+              "calibration report from the configured bench rates"),
+    "pipeline": (cmd_pipeline,
+                 (*_SOURCE_KEYS, "cutoff", "eta", "samples", "tomo_cutoff", "seed"),
+                 "simulate, sample and reconstruct everything end to end"),
+}
+COMMAND_KEYS = {name: keys for name, (_, keys, _) in COMMANDS.items()}
+
+# the flag of each key that has one, named after it
+_KEY_FLAGS = {
+    "cutoff": dict(type=int, help="Fock cutoff of the simulation"),
+    "eta": dict(
+        type=float,
+        help="homodyne efficiency: loss when sampling, correction when "
+        "reconstructing",
+    ),
+    "eta_d": dict(type=float, help="click detector efficiency"),
+    "order": dict(choices=("pert", "exact"), help="source expansion order"),
+    "samples": dict(type=int, help="samples per dataset (default from config)"),
+    "seed": dict(type=int, help="override the run seed"),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="config file (key = value lines)")
-    common.add_argument("--seed", type=int, help="override the run seed")
-    common.add_argument(
-        "--cutoff", type=int,
-        help="Fock cutoff (simulation commands) or reconstruction cutoff",
-    )
-    common.add_argument(
-        "--eta", type=float,
-        help="homodyne efficiency: loss when sampling, correction when "
-        "reconstructing",
-    )
-    common.add_argument("--eta-d", dest="eta_d", type=float,
-                        help="click detector efficiency")
-    common.add_argument("--order", choices=("pert", "exact"),
-                        help="source expansion order")
-    common.add_argument("--out", default="railbridge-out",
-                        help="output directory (default railbridge-out)")
-    common.add_argument("--samples", type=int,
-                        help="samples per dataset (default from config)")
-
     parser = argparse.ArgumentParser(
         prog="railbridge",
         description="Teleportation between polarisation and photon-number "
@@ -523,42 +521,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser(
-        "simulate", parents=[common],
-        help="teleport the six canonical inputs, write states and a table",
+    commands = {}
+    for command, (_, keys, help_line) in COMMANDS.items():
+        # exact flag names only: an abbreviation such as --eta would
+        # otherwise be read as another key's flag such as --eta-d
+        p = commands[command] = sub.add_parser(
+            command, help=help_line, allow_abbrev=False
+        )
+        if keys:
+            p.add_argument("--config", help="config file (key = value lines)")
+        for key in keys:
+            if key in _KEY_FLAGS:
+                p.add_argument("--" + key.replace("_", "-"), **_KEY_FLAGS[key])
+        p.add_argument("--out", default="railbridge-out",
+                       help="output directory (default railbridge-out)")
+    commands["sample"].add_argument("state", help="density-matrix JSON file")
+    commands["sample"].add_argument(
+        "--name", help="output CSV name (default samples.csv)"
     )
-    p_sample = sub.add_parser(
-        "sample", parents=[common],
-        help="draw homodyne samples from a density-matrix JSON",
+    commands["reconstruct"].add_argument("data", help="quadrature CSV (theta_rad,x)")
+    commands["reconstruct"].add_argument(
+        "--cutoff", dest="tomo_cutoff", type=int, metavar="CUTOFF",
+        help="reconstruction Fock cutoff",
     )
-    p_sample.add_argument("state", help="density-matrix JSON file")
-    p_sample.add_argument("--name", help="output CSV name (default samples.csv)")
-    p_rec = sub.add_parser(
-        "reconstruct", parents=[common],
-        help="maximum-likelihood fit of a quadrature CSV",
-    )
-    p_rec.add_argument("data", help="quadrature CSV (theta_rad,x)")
-    p_wig = sub.add_parser(
-        "wigner", parents=[common],
-        help="Wigner function of a density-matrix JSON on a square grid",
-    )
-    p_wig.add_argument("state", help="density-matrix JSON file")
-    p_wig.add_argument(
+    commands["wigner"].add_argument("state", help="density-matrix JSON file")
+    commands["wigner"].add_argument(
         "--grid", nargs=3, type=float, default=(-4.0, 4.0, 81),
         metavar=("MIN", "MAX", "N"), help="axis range and point count",
-    )
-    sub.add_parser(
-        "swap", parents=[common],
-        help="heraldless projection: joint state and entanglement witness",
-    )
-    sub.add_parser(
-        "rates", parents=[common],
-        help="calibration report from the configured bench rates",
-    )
-    sub.add_parser(
-        "pipeline", parents=[common],
-        help="simulate, sample and reconstruct everything end to end",
     )
     return parser
 
@@ -579,13 +568,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     created = _outermost_missing(args.out)
     try:
         config = _effective_config(args)
-        # a bad RAILBRIDGE_SEED must fail before any artifact is written
-        seed = resolve_seed(config)
+        if "seed" in COMMAND_KEYS[args.command]:
+            # a bad RAILBRIDGE_SEED must fail before any artifact is written
+            config = replace(config, seed=resolve_seed(config))
         os.makedirs(args.out, exist_ok=True)
-        outputs, text = HANDLERS[args.command](args, config, args.out)
-        _manifest(
-            args.out, args.command, ["railbridge", *argv], config, seed, outputs
-        )
+        outputs, text = COMMANDS[args.command][0](args, config, args.out)
+        _manifest(args.out, args.command, ["railbridge", *argv], config, outputs)
         print(text)
         return 0
     except (ConfigError, ValueError, OSError, jsonschema.ValidationError) as exc:

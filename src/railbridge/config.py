@@ -74,9 +74,6 @@ class Config:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
-    def to_dict(self) -> Dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 # required in every loaded file; the rest default
 REQUIRED_KEYS = ("gamma1", "gamma23", "eta_d", "eta", "order", "cutoff", "seed")

@@ -252,13 +252,13 @@ def to_density(state: PureState) -> DensityMatrix:
 
 
 def project_density(
-    rho: DensityMatrix, bra: PureState, allow_null: bool = False
+    rho: DensityMatrix, bra: PureState
 ) -> Tuple[DensityMatrix, float]:
     """Density-matrix counterpart of project(): apply <phi| on bra's modes.
 
     Returns the unnormalized conditional operator on the leftover modes and
     the outcome probability (its trace). Raises NullOutcomeError below
-    NULL_TOL unless ``allow_null`` is set.
+    NULL_TOL.
     """
     reg = rho.register
     bra_pos = [reg.index(m) for m in bra.register.labels]
@@ -275,7 +275,7 @@ def project_density(
         keep_pos + [n + i for i in keep_pos],
     ).reshape(keep_reg.dim, keep_reg.dim)
     p = float(np.real(np.trace(out)))
-    if p < NULL_TOL and not allow_null:
+    if p < NULL_TOL:
         raise NullOutcomeError(f"projection outcome has probability {p:.3e}")
     return DensityMatrix(keep_reg, out), p
 

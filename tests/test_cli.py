@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import railbridge
-from railbridge.cli import main, validate_artifact
+from railbridge.cli import COMMAND_KEYS, main, validate_artifact
 from railbridge.config import Config
 from railbridge.fock import (
     DensityMatrix,
@@ -62,7 +62,7 @@ def test_simulate_default_table_and_files(tmp_path, capsys):
     )
     assert abs(np.trace(rho.matrix).real - 1.0) < 1e-9
     manifest = read_json(os.path.join(out, "manifest.json"))
-    validate_artifact("manifest-1", manifest)
+    validate_artifact("manifest-2", manifest)
     for name in manifest["outputs"]:
         assert os.path.exists(os.path.join(out, name))
 
@@ -181,7 +181,7 @@ def test_reconstruct_cutoff_flag_is_recorded_as_tomo_cutoff(tmp_path, capsys):
     assert "at cutoff 3" in stdout
     config = read_json(os.path.join(rdir, "manifest.json"))["config"]
     assert config["tomo_cutoff"] == 3
-    assert config["cutoff"] == Config().cutoff
+    assert "cutoff" not in config
     assert read_json(os.path.join(rdir, "reconstruct.json"))["rho"]["cutoff"] == 3
 
 
@@ -428,37 +428,40 @@ def test_reconstruct_reports_likelihood_gap(tmp_path, capsys):
 
 
 def test_seed_precedence(tmp_path, capsys, monkeypatch):
+    state = single_photon_file(tmp_path)
     cfg = tmp_path / "run.cfg"
     cfg.write_text(format_config(Config(seed=3)))
     monkeypatch.setenv("RAILBRIDGE_SEED", "9")
+
+    def seed_of(out, *flags):
+        code = run(capsys, "sample", state, "--out", out, "--samples", "5", *flags)[0]
+        assert code == 0
+        manifest = read_json(os.path.join(out, "manifest.json"))
+        assert "seed" not in manifest
+        return manifest["config"]["seed"]
+
     # env only
-    out1 = str(tmp_path / "o1")
-    assert run(capsys, "simulate", "--out", out1)[0] == 0
-    assert read_json(os.path.join(out1, "manifest.json"))["seed"] == 9
+    assert seed_of(str(tmp_path / "o1")) == 9
     # file beats env
-    out2 = str(tmp_path / "o2")
-    assert run(capsys, "simulate", "--config", str(cfg), "--out", out2)[0] == 0
-    assert read_json(os.path.join(out2, "manifest.json"))["seed"] == 3
+    assert seed_of(str(tmp_path / "o2"), "--config", str(cfg)) == 3
     # flag beats file
-    out3 = str(tmp_path / "o3")
-    assert run(capsys, "simulate", "--config", str(cfg), "--out", out3,
-               "--seed", "12")[0] == 0
-    assert read_json(os.path.join(out3, "manifest.json"))["seed"] == 12
+    assert seed_of(str(tmp_path / "o3"), "--config", str(cfg), "--seed", "12") == 12
     # default when nothing is set
     monkeypatch.delenv("RAILBRIDGE_SEED")
-    out4 = str(tmp_path / "o4")
-    assert run(capsys, "simulate", "--out", out4)[0] == 0
-    assert read_json(os.path.join(out4, "manifest.json"))["seed"] == 0
+    assert seed_of(str(tmp_path / "o4")) == 0
 
 
 def test_bad_env_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RAILBRIDGE_SEED", "soon")
-    code, _, stderr = run(capsys, "simulate", "--out", str(tmp_path / "o"))
+    out = tmp_path / "o"
+    state = single_photon_file(tmp_path)
+    code, _, stderr = run(capsys, "sample", state, "--out", str(out))
     assert code == 1
     assert "RAILBRIDGE_SEED" in json.loads(stderr)["error"]["message"]
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["simulate", "sample"])
+@pytest.mark.parametrize("command", ["sample", "pipeline"])
 @pytest.mark.parametrize("source", ["flag", "config", "env"])
 def test_negative_seed_fails_as_one_error_line_naming_its_source(
     tmp_path, capsys, monkeypatch, source, command
@@ -491,6 +494,53 @@ def test_negative_seed_fails_as_one_error_line_naming_its_source(
     assert error["message"] == f"{named} must be >= 0, got -1"
     assert not out.exists()
 
+
+@pytest.mark.parametrize("command", sorted(COMMAND_KEYS))
+def test_manifest_records_only_the_keys_the_command_reads(tmp_path, capsys, command):
+    state = single_photon_file(tmp_path, cutoff=2)
+    data = tmp_path / "data"
+    if command == "reconstruct":
+        assert run(capsys, "sample", state, "--out", str(data), "--seed", "1",
+                   "--samples", "200")[0] == 0
+    argv = {
+        "simulate": [],
+        "sample": [state, "--samples", "20"],
+        "reconstruct": [str(data / "samples.csv"), "--cutoff", "1"],
+        "wigner": [state, "--grid", "-1", "1", "3"],
+        "swap": [],
+        "rates": [],
+        "pipeline": ["--samples", "50", "--seed", "1"],
+    }[command]
+    out = tmp_path / command
+    code, _, stderr = run(capsys, command, *argv, "--out", str(out))
+    assert code == 0, stderr
+    manifest = read_json(os.path.join(out, "manifest.json"))
+    validate_artifact("manifest-2", manifest)
+    assert set(manifest["config"]) == set(COMMAND_KEYS[command])
+    # the seed lives in config alone, and only where a command draws one
+    assert "seed" not in manifest
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["wigner", "STATE", "--cutoff", "3"], ["simulate", "--seed", "1"],
+     ["sample", "STATE", "--order", "pert"], ["reconstruct", "DATA", "--samples", "5"],
+     # a prefix of a flag the command does take (--eta-d) is not that flag
+     ["simulate", "--eta", "0.5"], ["swap", "--eta", "0.5"], ["rates", "--eta", "0.3"]],
+    ids=["wigner_cutoff", "simulate_seed", "sample_order", "reconstruct_samples",
+         "simulate_eta", "swap_eta", "rates_eta"],
+)
+def test_flag_for_an_unread_key_is_a_usage_error(tmp_path, capsys, argv):
+    state = single_photon_file(tmp_path)
+    data = tmp_path / "data.csv"
+    data.write_text("theta_rad,x\n0.0,0.5\n")
+    argv = [{"STATE": state, "DATA": str(data)}.get(a, a) for a in argv]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_exact_cutoff_one_fails_as_json(tmp_path, capsys):

@@ -388,7 +388,7 @@ def test_project_density_matches_pure_projection():
         state = random_pure(rng, ["a", "b", "c"], 2)
         bra = random_pure(rng, labels, 2)
         rem, p = project(state, bra, allow_null=True)
-        rho_rem, p_rho = project_density(to_density(state), bra, allow_null=True)
+        rho_rem, p_rho = project_density(to_density(state), bra)
         assert abs(p - p_rho) < 1e-12
         assert rho_rem.register == rem.register
         vec = rem.dense()

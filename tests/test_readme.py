@@ -1,9 +1,12 @@
 """The README's Python quick start runs as written against the package,
-and its config defaults block is the default config."""
+its config defaults block is the default config, and its per-command flag
+list is the parser's."""
 
+import argparse
 import pathlib
 import re
 
+from railbridge.cli import build_parser
 from railbridge.config import Config, parse_config
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -23,3 +26,23 @@ def test_readme_config_defaults_block_is_the_default_config():
     blocks = re.findall(r"Defaults:\n\n```\n(.*?)```", text, re.S)
     assert len(blocks) == 1
     assert parse_config(blocks[0], source="README.md") == Config()
+
+
+def test_readme_flags_by_command_are_the_parser_flags():
+    text = README.read_text(encoding="utf-8")
+    blocks = re.findall(r"Flags by command:\n\n((?:[- ] .*\n)+)", text)
+    assert len(blocks) == 1
+    documented = {}
+    for item in re.split(r"^- ", blocks[0], flags=re.M)[1:]:
+        commands, _, flags = item.partition(":")
+        for command in re.findall(r"`(\w+)`", commands):
+            documented[command] = set(re.findall(r"`(--[\w-]+)`", flags))
+    (subparsers,) = (
+        a for a in build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction)
+    )
+    parsed = {
+        command: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for command, p in subparsers.choices.items()
+    }
+    assert documented == parsed

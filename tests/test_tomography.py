@@ -214,11 +214,13 @@ def joint_datasets(rho_joint, n_per_setting, eta, seed):
     return out
 
 
-def test_settings_match_protocol_qubits():
-    for name, q in INPUT_STATES.items():
-        vec = np.array([q.a, q.b])
-        qubit = INPUT_STATES[name]
-        assert np.allclose(vec, [qubit.a, qubit.b])
+def test_joint_fit_matches_settings_by_name_not_dict_order():
+    datasets = joint_datasets(ideal_joint_state(cutoff=1), 300, eta=0.8, seed=60)
+    opts = ReconstructionOptions(cutoff=1, eta_correction=0.8)
+    forward = joint_reconstruct_swapped(datasets, opts)
+    backward = joint_reconstruct_swapped(dict(reversed(datasets.items())), opts)
+    assert np.array_equal(forward.rho.matrix, backward.rho.matrix)
+    assert forward.iterations == backward.iterations
 
 
 def test_joint_reconstruction_ideal_state():
