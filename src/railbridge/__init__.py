@@ -60,4 +60,4 @@ from .rates import (
     estimate_gamma,
     predict_triple_rate,
 )
-from .config import Config, ConfigError, default_config, load_config
+from .config import Config, ConfigError, load_config

@@ -27,7 +27,7 @@ import math
 import os
 import shutil
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from importlib import resources
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -37,10 +37,11 @@ import referencing
 
 from . import __version__
 from .config import (
+    RATE_KEYS,
+    SOURCE_KEYS,
     Config,
     ConfigError,
     check_seed,
-    default_config,
     load_config,
     to_rate_model,
     to_source_params,
@@ -64,7 +65,7 @@ from .protocol import (
     target_overlap,
     teleport,
 )
-from .rates import RateModel, calibration_report
+from .rates import calibration_report
 from .tomography import (
     ReconstructionOptions,
     ReconstructionResult,
@@ -161,7 +162,7 @@ def resolve_seed(config: Config) -> int:
 def _effective_config(args: argparse.Namespace) -> Config:
     """The config file, or the defaults, with the command's flags folded in."""
     given = vars(args)
-    config = load_config(given["config"]) if given.get("config") else default_config()
+    config = load_config(given["config"]) if given.get("config") else Config()
     if given.get("seed") is not None:
         check_seed(given["seed"], "--seed")
     # each flag's dest is the config key it overrides
@@ -259,7 +260,7 @@ def cmd_simulate(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
 def cmd_sample(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
     rho = _load_density(args.state)
     dataset = sample(rho, config.samples, eta=config.eta, seed=config.seed)
-    fname = args.name or "samples.csv"
+    fname = "samples.csv"
     dataset.write_csv(os.path.join(out_dir, fname))
     text = (
         f"{len(dataset)} samples from {args.state} at eta={config.eta} "
@@ -472,13 +473,11 @@ def cmd_pipeline(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
 # ------------------------------------------------------------------ driver
 
 
-_SOURCE_KEYS = ("gamma1", "gamma23", "alpha", "alpha_phase", "eta_d", "order")
-
 # each command's handler, the config keys it reads and its help line: a
 # command takes a flag for each of those keys that has one, and its
 # manifest records exactly these
 COMMANDS: Dict[str, Tuple[Callable, Tuple[str, ...], str]] = {
-    "simulate": (cmd_simulate, (*_SOURCE_KEYS, "cutoff"),
+    "simulate": (cmd_simulate, (*SOURCE_KEYS, "cutoff"),
                  "teleport the six canonical inputs, write states and a table"),
     "sample": (cmd_sample, ("eta", "samples", "seed"),
                "draw homodyne samples from a density-matrix JSON"),
@@ -486,13 +485,13 @@ COMMANDS: Dict[str, Tuple[Callable, Tuple[str, ...], str]] = {
                     "maximum-likelihood fit of a quadrature CSV"),
     "wigner": (cmd_wigner, (),
                "Wigner function of a density-matrix JSON on a square grid"),
-    "swap": (cmd_swap, (*_SOURCE_KEYS, "cutoff"),
+    "swap": (cmd_swap, (*SOURCE_KEYS, "cutoff"),
              "heraldless projection: joint state and entanglement witness"),
     # eta_d only to check it against the one derived from the rates
-    "rates": (cmd_rates, (*(f.name for f in fields(RateModel)), "cutoff", "eta_d"),
+    "rates": (cmd_rates, (*RATE_KEYS, "cutoff", "eta_d"),
               "calibration report from the configured bench rates"),
     "pipeline": (cmd_pipeline,
-                 (*_SOURCE_KEYS, "cutoff", "eta", "samples", "tomo_cutoff", "seed"),
+                 (*SOURCE_KEYS, "cutoff", "eta", "samples", "tomo_cutoff", "seed"),
                  "simulate, sample and reconstruct everything end to end"),
 }
 COMMAND_KEYS = {name: keys for name, (_, keys, _) in COMMANDS.items()}
@@ -528,6 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = commands[command] = sub.add_parser(
             command, help=help_line, allow_abbrev=False
         )
+        # main reports a flag the command does not take with this usage
+        p.set_defaults(command_parser=p)
         if keys:
             p.add_argument("--config", help="config file (key = value lines)")
         for key in keys:
@@ -536,9 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="railbridge-out",
                        help="output directory (default railbridge-out)")
     commands["sample"].add_argument("state", help="density-matrix JSON file")
-    commands["sample"].add_argument(
-        "--name", help="output CSV name (default samples.csv)"
-    )
     commands["reconstruct"].add_argument("data", help="quadrature CSV (theta_rad,x)")
     commands["reconstruct"].add_argument(
         "--cutoff", dest="tomo_cutoff", type=int, metavar="CUTOFF",
@@ -563,8 +561,9 @@ def _outermost_missing(path: str) -> Optional[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.command_parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     created = _outermost_missing(args.out)
     try:
         config = _effective_config(args)

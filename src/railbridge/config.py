@@ -8,8 +8,8 @@ unknown or malformed lines fail with their line number so a typo cannot
 silently fall back to a default.
 
 A loaded file must pin the physics keys explicitly (a run config is a lab
-record, not a patch); the built-in `default_config` carries the bench
-values for flag-only invocations.
+record, not a patch); `Config()` carries the bench values for flag-only
+invocations.
 """
 
 from __future__ import annotations
@@ -80,10 +80,6 @@ REQUIRED_KEYS = ("gamma1", "gamma23", "eta_d", "eta", "order", "cutoff", "seed")
 
 # key -> annotated type; Optional[T] takes T or the word none
 KEY_TYPES: Dict[str, object] = get_type_hints(Config)
-
-
-def default_config() -> Config:
-    return Config()
 
 
 def _parse_value(key: str, raw: str, lineno: int) -> object:
@@ -161,16 +157,25 @@ def load_config(path: str) -> Config:
     return parse_config(text, source=path)
 
 
+# the keys each bridge reads: config key -> SourceParams field, and the
+# RateModel fields, which the config keys share
+_SOURCE_FIELDS = {
+    "gamma1": "gamma1",
+    "gamma23": "gamma23",
+    "alpha": "alpha",
+    "alpha_phase": "phi_alpha",
+    "eta_d": "eta_d",
+    "order": "order",
+}
+SOURCE_KEYS = tuple(_SOURCE_FIELDS)
+RATE_KEYS = tuple(f.name for f in fields(RateModel))
+
+
 def to_source_params(config: Config) -> SourceParams:
     return SourceParams(
-        gamma1=config.gamma1,
-        gamma23=config.gamma23,
-        alpha=config.alpha,
-        phi_alpha=config.alpha_phase,
-        eta_d=config.eta_d,
-        order=config.order,
+        **{field: getattr(config, key) for key, field in _SOURCE_FIELDS.items()}
     )
 
 
 def to_rate_model(config: Config) -> RateModel:
-    return RateModel(**{f.name: getattr(config, f.name) for f in fields(RateModel)})
+    return RateModel(**{key: getattr(config, key) for key in RATE_KEYS})

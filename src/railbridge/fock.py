@@ -10,19 +10,17 @@ Conventions used throughout the package:
   by that order.
 * A pure state is one dense complex amplitude tensor shaped
   ``register.dims``: axis k holds the photon number of mode k, so a k-mode
-  operation is a contraction on k axes. Its ``amps`` view lists only the
-  entries with modulus above ``PRUNE_TOL``.
+  operation is a contraction on k axes. ``state.array[occ]`` reads one
+  amplitude; ``np.ndindex(register.dims)`` walks the basis in order.
 * ``normalize`` fixes the global phase so that the first nonzero amplitude
   in lexicographic order is real and non-negative.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import List, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -76,16 +74,6 @@ class ModeRegister:
     def cutoff_of(self, label: str) -> int:
         return self.cutoffs[self.index(label)]
 
-    def basis(self) -> Iterator[Occupation]:
-        """All occupation tuples in lexicographic (row-major) order."""
-        return itertools.product(*(range(d) for d in self.dims))
-
-    def basis_index(self, occ: Occupation) -> int:
-        idx = 0
-        for n, d in zip(occ, self.dims):
-            idx = idx * d + n
-        return idx
-
     def contains(self, occ: Occupation) -> bool:
         """Whether ``occ`` is an occupation of this register within the cutoffs."""
         return len(occ) == self.n_modes and all(
@@ -132,17 +120,6 @@ class PureState:
                 raise ValueError(f"occupation {tuple(occ)} outside {register}")
             self.array[tuple(occ)] = a
 
-    @property
-    def amps(self) -> Mapping[Occupation, complex]:
-        """Read-only map occupation -> amplitude of the entries above PRUNE_TOL."""
-        mask = np.abs(self.array) > PRUNE_TOL
-        occs = map(tuple, np.argwhere(mask).tolist())
-        return MappingProxyType(dict(zip(occs, self.array[mask].tolist())))
-
-    def amplitude(self, occ: Occupation) -> complex:
-        occ = tuple(occ)
-        return complex(self.array[occ]) if self.register.contains(occ) else 0j
-
     def dense(self) -> np.ndarray:
         """Amplitudes as a flat vector in lexicographic basis order (a copy)."""
         return self.array.flatten()
@@ -159,9 +136,6 @@ class DensityMatrix:
         d = self.register.dim
         if self.matrix.shape != (d, d):
             raise ValueError(f"matrix shape {self.matrix.shape} != ({d}, {d})")
-
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.matrix)))
 
     def validate(self) -> None:
         """Check Hermiticity and unit trace to 1e-10, positivity to 1e-9."""

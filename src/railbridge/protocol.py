@@ -544,11 +544,14 @@ def swap_qubit_sector(rho: DensityMatrix) -> Tuple[DensityMatrix, float]:
         raise ValueError(f"expected modes D_H, D_V, B, got {reg.labels}")
     b_cut = reg.cutoff_of("B")
     out_reg = ModeRegister(("D_pol", "B"), (1, b_cut))
-    idx = []
-    for pol, d_occ in ((0, (1, 0)), (1, (0, 1))):
-        for n in range(b_cut + 1):
-            occ = {"D_H": d_occ[0], "D_V": d_occ[1], "B": n}
-            idx.append(reg.basis_index(tuple(occ[m] for m in reg.labels)))
+    # rows D_pol = 0 (one H photon) then D_pol = 1 (one V photon)
+    idx = [
+        np.ravel_multi_index(
+            tuple({"D_H": h, "D_V": v, "B": n}[m] for m in reg.labels), reg.dims
+        )
+        for h, v in ((1, 0), (0, 1))
+        for n in range(b_cut + 1)
+    ]
     sub = rho.matrix[np.ix_(idx, idx)]
     weight = float(np.real(np.trace(sub)))
     if weight < _NEVER_OBSERVED:

@@ -1,8 +1,9 @@
 """Count-rate calibration and the detection-efficiency budget.
 
 Backward direction: measured singles and coincidence rates fix the pair
-amplitudes and the overall detection efficiency. Forward direction: those
-numbers predict the good-triple rate the full protocol should deliver.
+and drive amplitudes and the overall detection efficiency. Forward
+direction: those numbers predict the good-triple rate the full protocol
+should deliver.
 Both directions are plain per-pulse arithmetic; the one modelling choice
 (a polariser loss factor restoring pre-analyser rates) is isolated in
 `estimate_gamma` and carried in every report.
@@ -265,15 +266,18 @@ def calibration_report(
     model: RateModel, cutoff: int = DEFAULT_CUTOFF
 ) -> Dict[str, object]:
     """All derived calibration quantities, with the circuit check, as one
-    JSON-ready mapping."""
+    JSON-ready mapping.
+
+    The drive amplitude alpha comes from R_alpha the way gamma1 comes from
+    R_gamma1, and drives the circuit check; the scaling formula has no
+    alpha term.
+    """
     eta_d = model.eta_d
-    gamma1 = estimate_gamma(
-        model.R_gamma1, model.R_L, eta_d, model.projector_loss_factor
+    alpha, gamma1, gamma23 = (
+        estimate_gamma(R, model.R_L, eta_d, model.projector_loss_factor)
+        for R in (model.R_alpha, model.R_gamma1, model.R_gamma23)
     )
-    gamma23 = estimate_gamma(
-        model.R_gamma23, model.R_L, eta_d, model.projector_loss_factor
-    )
-    params = SourceParams(gamma1=gamma1, gamma23=gamma23, eta_d=eta_d)
+    params = SourceParams(gamma1=gamma1, gamma23=gamma23, alpha=alpha, eta_d=eta_d)
     check = circuit_consistency(params, cutoff=cutoff)
     return {
         "rates_in": {
@@ -285,6 +289,7 @@ def calibration_report(
         },
         "projector_loss_factor": model.projector_loss_factor,
         "eta_d": eta_d,
+        "alpha": alpha,
         "gamma1": gamma1,
         "gamma23": gamma23,
         "predicted_triple_rate_hz": predict_triple_rate(model, (gamma1, gamma23)),

@@ -374,8 +374,7 @@ def entanglement_witness(rho: DensityMatrix) -> Dict[str, object]:
     reg = rho.register
     if reg.n_modes != 2 or reg.dims[0] != 2 or reg.dims[1] < 2:
         raise ValueError(f"expected a qubit x Fock register, got dims {reg.dims}")
-    i_h1 = reg.basis_index((0, 1))
-    i_v0 = reg.basis_index((1, 0))
+    i_h1, i_v0 = np.ravel_multi_index(([0, 1], [1, 0]), reg.dims)
     m = rho.matrix
     coherence = m[i_h1, i_v0]
     fid = float(0.5 * np.real(m[i_h1, i_h1] + m[i_v0, i_v0]) + abs(coherence))

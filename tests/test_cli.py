@@ -526,9 +526,10 @@ def test_manifest_records_only_the_keys_the_command_reads(tmp_path, capsys, comm
     [["wigner", "STATE", "--cutoff", "3"], ["simulate", "--seed", "1"],
      ["sample", "STATE", "--order", "pert"], ["reconstruct", "DATA", "--samples", "5"],
      # a prefix of a flag the command does take (--eta-d) is not that flag
-     ["simulate", "--eta", "0.5"], ["swap", "--eta", "0.5"], ["rates", "--eta", "0.3"]],
+     ["simulate", "--eta", "0.5"], ["swap", "--eta", "0.5"], ["rates", "--eta", "0.3"],
+     ["sample", "STATE", "--name", "x.csv"]],
     ids=["wigner_cutoff", "simulate_seed", "sample_order", "reconstruct_samples",
-         "simulate_eta", "swap_eta", "rates_eta"],
+         "simulate_eta", "swap_eta", "rates_eta", "sample_name"],
 )
 def test_flag_for_an_unread_key_is_a_usage_error(tmp_path, capsys, argv):
     state = single_photon_file(tmp_path)
@@ -539,7 +540,10 @@ def test_flag_for_an_unread_key_is_a_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exit_info:
         main([*argv, "--out", str(out)])
     assert exit_info.value.code == 2
-    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
+    # the usage of the command, which lists the flags it does take
+    assert err.splitlines()[0].startswith(f"usage: railbridge {argv[0]} ")
     assert not out.exists()
 
 

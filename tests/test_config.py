@@ -5,7 +5,6 @@ import pytest
 from railbridge.config import (
     Config,
     ConfigError,
-    default_config,
     load_config,
     parse_config,
     to_rate_model,
@@ -93,7 +92,7 @@ def test_value_validation():
 def test_seed_tri_state():
     cfg = parse_config(MINIMAL.replace("seed = 7", "seed = none"))
     assert cfg.seed is None
-    assert default_config().seed is None
+    assert Config().seed is None
 
 
 def test_config_rejects_a_negative_seed_naming_it():
@@ -109,7 +108,7 @@ def test_config_rejects_a_negative_seed_naming_it():
 def test_format_parse_round_trip():
     cfg = Config(seed=3, alpha=0.21, order="pert")
     assert parse_config(format_config(cfg)) == cfg
-    blank = default_config()
+    blank = Config()
     assert parse_config(format_config(blank)) == blank
 
 

@@ -64,7 +64,7 @@ def test_pair_map_preserves_norm_of_bounded_states(cutoff):
     for _ in range(5):
         amps = {
             occ: complex(rng.normal(), rng.normal())
-            for occ in reg.basis()
+            for occ in np.ndindex(reg.dims)
             if occ[0] + occ[2] <= cutoff
         }
         psi = normalize(PureState(reg, amps))

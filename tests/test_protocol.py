@@ -119,47 +119,49 @@ def test_source_params_defaults_and_guards():
 def test_resource_omega_pert_amplitudes():
     st = build_resource_omega(PERT)
     n = math.sqrt(1.0 + 0.2**2 + 0.2**2)
-    assert abs(st.amplitude((0, 0, 0)) - 1.0 / n) < 1e-12
-    assert abs(st.amplitude((1, 0, 1)) - 0.2 / n) < 1e-12
-    assert abs(st.amplitude((0, 1, 0)) - 0.2 / n) < 1e-12
-    assert len(st.amps) == 3
+    assert abs(st.array[0, 0, 0] - 1.0 / n) < 1e-12
+    assert abs(st.array[1, 0, 1] - 0.2 / n) < 1e-12
+    assert abs(st.array[0, 1, 0] - 0.2 / n) < 1e-12
+    assert np.count_nonzero(st.array) == 3
 
 
 def test_resource_omega_zero_sources_is_vacuum():
     st = build_resource_omega(SourceParams(gamma1=0.0, alpha=0.0, order="pert"))
-    assert st.amps == {(0, 0, 0): 1.0 + 0.0j}
+    assert st.array[0, 0, 0] == 1.0
+    assert np.count_nonzero(st.array) == 1
 
 
 def test_resource_omega_exact_cross_term():
     # both sources firing once: amplitude ratio to vacuum is alpha*gamma1,
     # checked against an independent tensor expansion of the two sources
     st = build_resource_omega(EXACT)
-    ratio = st.amplitude((1, 1, 1)) / st.amplitude((0, 0, 0))
+    ratio = st.array[1, 1, 1] / st.array[0, 0, 0]
     assert abs(ratio - 0.2 * 0.2) < 1e-12
     pair = math.sqrt(1 - 0.04) * 0.2  # squeezer ladder n=1
     drive = math.exp(-0.02) * 0.2  # Poisson n=1
     expected = pair * drive
-    direct = st.amplitude((1, 1, 1))
+    direct = st.array[1, 1, 1]
     vac = math.sqrt(1 - 0.04) * math.exp(-0.02)
-    assert abs(direct / st.amplitude((0, 0, 0)) - expected / vac) < 1e-12
+    assert abs(direct / st.array[0, 0, 0] - expected / vac) < 1e-12
 
 
 def test_bell_pair_pert_is_symmetric():
     st = build_bell_pair(PERT)
-    assert abs(st.amplitude((1, 0, 0, 1)) - st.amplitude((0, 1, 1, 0))) < 1e-12
-    assert abs(st.amplitude((1, 0, 0, 1)) / st.amplitude((0, 0, 0, 0)) - 0.054) < 1e-12
+    assert abs(st.array[1, 0, 0, 1] - st.array[0, 1, 1, 0]) < 1e-12
+    assert abs(st.array[1, 0, 0, 1] / st.array[0, 0, 0, 0] - 0.054) < 1e-12
 
 
 def test_bell_pair_zero_amplitude_is_vacuum():
     st = build_bell_pair(SourceParams(gamma23=0.0, order="pert"))
-    assert st.amps == {(0, 0, 0, 0): 1.0 + 0.0j}
+    assert st.array[0, 0, 0, 0] == 1.0
+    assert np.count_nonzero(st.array) == 1
 
 
 def test_bell_pair_exact_contains_double_pairs():
     st = build_bell_pair(EXACT)
     g = 0.054
-    assert abs(st.amplitude((1, 1, 1, 1)) / st.amplitude((0, 0, 0, 0)) - g * g) < 1e-12
-    assert abs(st.amplitude((2, 0, 0, 2)) / st.amplitude((0, 0, 0, 0)) - g * g) < 1e-12
+    assert abs(st.array[1, 1, 1, 1] / st.array[0, 0, 0, 0] - g * g) < 1e-12
+    assert abs(st.array[2, 0, 0, 2] / st.array[0, 0, 0, 0] - g * g) < 1e-12
 
 
 # --------------------------------------------------------------- heralding
@@ -168,8 +170,8 @@ def test_bell_pair_exact_contains_double_pairs():
 def test_herald_onto_v_gives_h_qubit():
     bell = build_bell_pair(PERT)
     out, p = herald_qubit(bell, QubitSpec(0.0, 1.0))
-    assert abs(abs(out.amplitude((1, 0))) - 1.0) < 1e-12
-    assert abs(out.amplitude((0, 1))) < 1e-15
+    assert abs(abs(out.array[1, 0]) - 1.0) < 1e-12
+    assert abs(out.array[0, 1]) < 1e-15
     assert abs(p - 0.054**2 / (1 + 2 * 0.054**2)) < 1e-12
 
 
@@ -260,7 +262,7 @@ def test_condition_on_clicks_matches_dense_povm_route():
     # partial trace of E@rho over everything but the kept mode
     rng = np.random.default_rng(11)
     reg = ModeRegister.uniform(["x", "y", "z"], 2)
-    amps = {occ: complex(rng.normal(), rng.normal()) for occ in reg.basis()}
+    amps = {occ: complex(rng.normal(), rng.normal()) for occ in np.ndindex(reg.dims)}
     state = normalize(PureState(reg, amps))
     eta_d = 0.41
     rho_cond, p = condition_on_clicks(state, ["x", "y"], eta_d, keep=("z",))
@@ -413,13 +415,10 @@ def test_swap_pert_hits_the_entangled_target():
     assert fid > 1.0 - 1e-9
     assert p > 0.0
     # equal amplitudes: both D outcomes equally likely
-    dd = partial_trace(rho, ["D_H", "D_V"]).matrix
-    occ_h = np.real(dd[ModeRegister.uniform(["D_H", "D_V"], 2).basis_index((1, 0)),
-                       ModeRegister.uniform(["D_H", "D_V"], 2).basis_index((1, 0))])
-    occ_v = np.real(dd[ModeRegister.uniform(["D_H", "D_V"], 2).basis_index((0, 1)),
-                       ModeRegister.uniform(["D_H", "D_V"], 2).basis_index((0, 1))])
-    assert occ_h == pytest.approx(0.5, abs=1e-9)
-    assert occ_v == pytest.approx(0.5, abs=1e-9)
+    dd = partial_trace(rho, ["D_H", "D_V"])
+    pops = np.real(np.diagonal(dd.matrix)).reshape(dd.register.dims)
+    assert pops[1, 0] == pytest.approx(0.5, abs=1e-9)
+    assert pops[0, 1] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_swap_exact_qubit_sector_stays_close_to_target():

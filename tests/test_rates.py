@@ -224,3 +224,23 @@ def test_calibration_report_round_trip():
     # must serialize as-is for the CLI
     parsed = json.loads(json.dumps(rep))
     assert parsed["rates_in"]["R_L"] == 76e6
+
+
+def test_calibration_report_drive_amplitude_comes_from_R_alpha():
+    base = calibration_report(RateModel())
+    # the bench drive and resource singles rates are equal, so is alpha
+    assert base["alpha"] == base["gamma1"]
+    moved = calibration_report(replace(RateModel(), R_alpha=5e3))
+    assert moved["alpha"] == estimate_gamma(5e3, 76e6, 0.03)
+    assert moved["gamma1"] == base["gamma1"]
+    params = SourceParams(
+        gamma1=moved["gamma1"], gamma23=moved["gamma23"], alpha=moved["alpha"],
+        eta_d=moved["eta_d"],
+    )
+    assert moved["circuit_check"] == circuit_consistency(params)
+    assert (
+        moved["circuit_check"]["circuit_probability"]
+        != base["circuit_check"]["circuit_probability"]
+    )
+    # the scaling formula has no drive term
+    assert moved["predicted_triple_rate_hz"] == base["predicted_triple_rate_hz"]

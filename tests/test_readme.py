@@ -21,7 +21,7 @@ def test_readme_python_quick_start_runs():
     assert namespace["fit"].converged
 
 
-def test_readme_config_defaults_block_is_the_default_config():
+def test_readme_config_defaults_block_is_the_config_defaults():
     text = README.read_text(encoding="utf-8")
     blocks = re.findall(r"Defaults:\n\n```\n(.*?)```", text, re.S)
     assert len(blocks) == 1
