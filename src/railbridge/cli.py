@@ -220,33 +220,23 @@ def _input_table(
 
 def cmd_simulate(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
     params = to_source_params(config)
-    pert_params = replace(params, order="pert")
     outputs: List[str] = []
     inputs: Dict[str, dict] = {}
     for name, chi in INPUT_STATES.items():
         rho, p = teleport(chi, params, cutoff=config.cutoff)
         tvec = ideal_teleport_target(chi, params, config.cutoff).dense()
-        f_conf = target_overlap(tvec, rho)
-        if config.order == "pert":
-            f_pert = f_conf
-        else:
-            rho_p, _ = teleport(chi, pert_params, cutoff=config.cutoff)
-            f_pert = target_overlap(tvec, rho_p)
         fname = f"state_{name}.json"
         state = {"schema": "density-1", **density_to_json_dict(rho)}
         _write_json(os.path.join(out_dir, fname), state)
         outputs.append(fname)
         inputs[name] = {
             "success_probability": p,
-            "fidelity": f_conf,
-            "fidelity_pert": f_pert,
+            "fidelity": target_overlap(tvec, rho),
             "state_file": fname,
         }
-    averages, text = _input_table(
-        inputs, ("fidelity", "fidelity_pert"), (f"F({config.order})", "F(pert)")
-    )
+    averages, text = _input_table(inputs, ("fidelity",), (f"F({config.order})",))
     report = {
-        "schema": "simulate-1",
+        "schema": "simulate-2",
         "order": config.order,
         "cutoff": config.cutoff,
         "inputs": inputs,

@@ -193,17 +193,13 @@ def tensor(a: PureState, b: PureState) -> PureState:
     return PureState(reg, np.multiply.outer(a.array, b.array))
 
 
-def project(
-    state: PureState,
-    bra: PureState,
-    allow_null: bool = False,
-) -> Tuple[PureState, float]:
+def project(state: PureState, bra: PureState) -> Tuple[PureState, float]:
     """Apply the bra <phi| on the modes of ``bra``'s register (same cutoffs).
 
     Returns the unnormalized remainder on the leftover modes and the outcome
     probability (squared norm of the remainder, assuming ``state`` is
-    normalized). Raises NullOutcomeError below ``NULL_TOL`` unless
-    ``allow_null`` is set.
+    normalized). Raises NullOutcomeError when the remainder's norm is below
+    ``NULL_TOL`` (p below NULL_TOL^2), the zero state `normalize` refuses.
     """
     reg = state.register
     bra_pos = [reg.index(m) for m in bra.register.labels]
@@ -214,10 +210,10 @@ def project(
         bra.array.conj(), state.array, axes=(list(range(len(bra_pos))), bra_pos)
     )
     remainder = PureState(keep_reg, out)
-    p = norm(remainder) ** 2
-    if p < NULL_TOL and not allow_null:
-        raise NullOutcomeError(f"projection outcome has probability {p:.3e}")
-    return remainder, p
+    n = norm(remainder)
+    if n < NULL_TOL:
+        raise NullOutcomeError(f"projection outcome has probability {n**2:.3e}")
+    return remainder, n**2
 
 
 def to_density(state: PureState) -> DensityMatrix:

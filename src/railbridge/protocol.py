@@ -12,9 +12,10 @@ amplitudes onto mode B (vacuum/one-photon encoding). Run without the D
 herald, the same projection leaves D and B in an entangled state.
 
 Two implementations of the projection are provided: a rank-1 projector onto
-(|H>_A|V>_C + |V>_A|H>_C)/sqrt(2), and the physical circuit (wave plates,
-polarising splitter, two counters) whose coincidences respond to exactly
-that combination but also admit multi-pair false positives at exact order.
+(|H>_A|V>_C + |V>_A|H>_C)/sqrt(2) at perturbative order, and the physical
+circuit (wave plates, polarising splitter, two counters) whose coincidences
+respond to exactly that combination but also admit multi-pair false
+positives at exact order. At both orders teleport heralds the swapped state.
 
 Post-selection is exact conditional-state algebra throughout; nothing here
 is sampled. Success probabilities come out alongside the states so that
@@ -217,24 +218,6 @@ def herald_setting_for(chi: QubitSpec) -> QubitSpec:
     return QubitSpec(chi.b.conjugate(), chi.a.conjugate())
 
 
-def herald_qubit(
-    bell: PureState, projection: QubitSpec
-) -> Tuple[PureState, float]:
-    """Project the D beam of a pair state onto a polarisation bra.
-
-    Returns the normalized heralded state (a single photon in beam A with
-    amplitudes (conj d_V, conj d_H)) and the detection probability, which
-    scales as |gamma23|^2.
-    """
-    reg = bell.register
-    bra_reg = reg.subset(["D_H", "D_V"])
-    bra = PureState(
-        bra_reg, {(1, 0): complex(projection.a), (0, 1): complex(projection.b)}
-    )
-    remainder, p = project(bell, bra)
-    return normalize(remainder), p
-
-
 # --------------------------------------------------- conditional detection
 
 
@@ -293,9 +276,7 @@ def bell_project_ideal(state: PureState) -> Tuple[PureState, float]:
     reg = state.register
     bra_reg = reg.subset(["A_H", "A_V", "C_H", "C_V"])
     bra = PureState(bra_reg, {(1, 0, 0, 1): _S + 0.0j, (0, 1, 1, 0): _S + 0.0j})
-    remainder, p = project(state, bra, allow_null=True)
-    if p < _NEVER_OBSERVED:
-        raise NullOutcomeError("state is orthogonal to the projected pair")
+    remainder, p = project(state, bra)
     return normalize(remainder), p
 
 
@@ -425,20 +406,33 @@ def _rotated_diagonal(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return np.real(np.sum(np.matmul(u, rho) * u.conj(), axis=-1))
 
 
+def _herald_unitary(chi: QubitSpec, cutoff: int) -> np.ndarray:
+    """U: the herald rotation lifted to the truncated, flattened (D_H, D_V)."""
+    flat = tuple(_herald_rotation(chi).ravel().tolist())
+    return _pair_tensor(flat, cutoff, cutoff).reshape((cutoff + 1) ** 2, -1)
+
+
 def _herald_view(
     chi: QubitSpec, params: SourceParams, cutoff: int
 ) -> Tuple[_SourcePass, np.ndarray, float]:
-    """The point's source pass, the herald rotation on D and the rotated norm.
+    """The point's source pass, the herald rotation U on D and the rotated norm.
 
-    U is the rotation lifted to the truncated (D_H, D_V) space, a
-    (c+1)^2-square matrix. It drops the D components it would lift above the
-    cutoff, so every probability divides by the norm left, Tr[U^dag U rho_D]:
-    the weight `predetection_state` renormalizes away.
+    U drops the D components it would lift above the cutoff, so every
+    probability divides by the norm left, Tr[U^dag U rho_D]: the weight
+    `predetection_state` renormalizes away.
     """
     src = _source_pass(params, cutoff)
-    flat = tuple(_herald_rotation(chi).ravel().tolist())
-    u = _pair_tensor(flat, cutoff, cutoff).reshape((cutoff + 1) ** 2, -1)
+    u = _herald_unitary(chi, cutoff)
     return src, u, float(np.sum(_rotated_diagonal(u, src.rho_d)))
+
+
+def _swapped(params: SourceParams, cutoff: int) -> np.ndarray:
+    """σ, the swap's unnormalized (D_H, D_V, B) density: p |r><r| from the
+    rank-1 projector at perturbative order, `_swap_density` at exact order."""
+    if params.order == "pert":
+        remainder, p = bell_project_ideal(_circuit_input(params, cutoff))
+        return p * to_density(remainder).matrix
+    return _swap_density(params, cutoff)
 
 
 def teleport(
@@ -448,26 +442,24 @@ def teleport(
 ) -> Tuple[DensityMatrix, float]:
     """Conditional state of mode B given the herald and both projector clicks.
 
-    Perturbative order heralds and projects with rank-1 operators, giving
-    the pure output a|0>_B + b e^(-i(phi_gamma1-phi_alpha))|1>_B for
-    alpha = gamma1; its probability carries the herald factor |gamma23|^2
-    and the projection factor but no detector efficiencies. Exact order
-    runs the physical circuit with SPCM counters, so the returned state
-    includes multi-pair false positives and the probability is the true
-    per-pulse triple-coincidence probability; it needs cutoff >= 2.
+    Both orders herald the swapped state σ (`_swapped`) with the weight W
+    on the rotated D: rho_B = Tr_D[(U^dag W U x I) σ]. Perturbative order
+    takes W as one photon, giving a|0>_B + b e^(-i(phi_gamma1-phi_alpha))|1>_B
+    for alpha = gamma1, with no detector efficiency in p. Exact order takes
+    W as an SPCM click, so the state includes multi-pair false positives and
+    p is the true per-pulse triple-coincidence probability; it needs
+    cutoff >= 2.
     """
-    if params.order == "pert":
-        bell = build_bell_pair(params, cutoff)
-        chi_a, p_herald = herald_qubit(bell, herald_setting_for(chi))
-        joint = tensor(chi_a, build_resource_omega(params, cutoff))
-        remainder, p_bell = bell_project_ideal(joint)
-        return to_density(remainder), p_herald * p_bell
-    _, u, rotated_norm = _herald_view(chi, params, cutoff)
     n, nd = cutoff + 1, (cutoff + 1) ** 2
-    # the click on the rotated D_H, as the operator U^dag E U on the unrotated D
-    clicks = np.repeat(click_probability(np.arange(n), params.eta_d), n)
-    herald = u.conj().T @ (clicks[:, None] * u)
-    sigma = _swap_density(params, cutoff).reshape(nd, n, nd, n)
+    if params.order == "pert":
+        # one photon in D_H is entry n of the flattened D; U is exact on σ's D
+        u, rotated_norm, weights = _herald_unitary(chi, cutoff), 1.0, np.eye(nd)[n]
+    else:
+        _, u, rotated_norm = _herald_view(chi, params, cutoff)
+        weights = np.repeat(click_probability(np.arange(n), params.eta_d), n)
+    # W on the rotated D_H, as the operator U^dag W U on the unrotated D
+    herald = u.conj().T @ (weights[:, None] * u)
+    sigma = _swapped(params, cutoff).reshape(nd, n, nd, n)
     rho = np.tensordot(herald, sigma, axes=([0, 1], [2, 0]))
     weight = float(np.real(np.trace(rho)))
     p = weight / rotated_norm
@@ -514,14 +506,12 @@ def swap_entanglement(
 ) -> Tuple[DensityMatrix, float]:
     """Joint D/B state conditioned on the projector alone (no herald).
 
-    At perturbative order with alpha = gamma1 the output is the maximally
-    entangled (|H>_D|1>_B + |V>_D|0>_B)/sqrt(2); exact order keeps the
-    multi-pair admixtures the projector cannot filter; it needs cutoff >= 2.
+    σ / Tr σ (`_swapped`). At perturbative order with alpha = gamma1 it is
+    the maximally entangled (|H>_D|1>_B + |V>_D|0>_B)/sqrt(2); exact order
+    keeps the multi-pair admixtures the projector cannot filter; it needs
+    cutoff >= 2.
     """
-    if params.order == "pert":
-        remainder, p = bell_project_ideal(_circuit_input(params, cutoff))
-        return to_density(normalize(remainder)), p
-    sigma = _swap_density(params, cutoff)
+    sigma = _swapped(params, cutoff)
     p = float(np.real(np.trace(sigma)))
     if p < _NEVER_OBSERVED:
         raise NullOutcomeError(f"click pattern has probability {p:.3e}")

@@ -52,10 +52,8 @@ def test_simulate_default_table_and_files(tmp_path, capsys):
     assert code == 0
     assert "avg" in stdout
     report = read_json(os.path.join(out, "simulate.json"))
-    validate_artifact("simulate-1", report)
+    validate_artifact("simulate-2", report)
     assert set(report["inputs"]) == {"H", "V", "D", "A", "R", "L"}
-    # perturbative column is exact by construction, configured order drops
-    assert abs(report["average_fidelity_pert"] - 1.0) < 1e-9
     assert 0.87 <= report["average_fidelity"] <= 0.97
     rho = density_from_json_dict(
         read_json(os.path.join(out, report["inputs"]["D"]["state_file"]))
@@ -70,15 +68,15 @@ def test_simulate_default_table_and_files(tmp_path, capsys):
 # exact stdout of the two summary tables; a changed row, column, number
 # format or average shows here
 SIMULATE_DEFAULT_STDOUT = (
-    "input  p_success  F(exact)  F(pert)\n"
-    "-----  ---------  --------  -------\n"
-    "H      8.714e-10  0.9438    1.0000\n"
-    "V      8.997e-10  0.8491    1.0000\n"
-    "D      8.862e-10  0.9036    1.0000\n"
-    "A      8.862e-10  0.9036    1.0000\n"
-    "R      8.853e-10  0.9038    1.0000\n"
-    "L      8.853e-10  0.9038    1.0000\n"
-    "avg               0.9013    1.0000\n"
+    "input  p_success  F(exact)\n"
+    "-----  ---------  --------\n"
+    "H      8.714e-10  0.9438\n"
+    "V      8.997e-10  0.8491\n"
+    "D      8.862e-10  0.9036\n"
+    "A      8.862e-10  0.9036\n"
+    "R      8.853e-10  0.9038\n"
+    "L      8.853e-10  0.9038\n"
+    "avg               0.9013\n"
 )
 
 PIPELINE_SEED1_SAMPLES200_STDOUT = (

@@ -150,8 +150,6 @@ def test_project_on_orthogonal_component_raises_null():
     bra = PureState(reg, {(1,): 1.0 + 0.0j})
     with pytest.raises(NullOutcomeError):
         project(psi, bra)
-    _, p = project(psi, bra, allow_null=True)
-    assert p == 0.0
 
 
 def test_project_probability_born_rule():
@@ -391,7 +389,7 @@ def test_project_density_matches_pure_projection():
     for labels in (["a"], ["a", "c"]):
         state = random_pure(rng, ["a", "b", "c"], 2)
         bra = random_pure(rng, labels, 2)
-        rem, p = project(state, bra, allow_null=True)
+        rem, p = project(state, bra)
         rho_rem, p_rho = project_density(to_density(state), bra)
         assert abs(p - p_rho) < 1e-12
         assert rho_rem.register == rem.register

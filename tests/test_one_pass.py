@@ -145,6 +145,24 @@ def test_one_engine_sweep_op_runs_the_circuit_once_per_cutoff(monkeypatch):
     assert runs == [2, 3, 4]
 
 
+def test_pert_teleport_and_swap_never_run_the_circuit(monkeypatch):
+    runs = []
+    circuit = protocol.apply_bell_circuit
+
+    def counted(state):
+        runs.append(state.register.cutoffs[0])
+        return circuit(state)
+
+    monkeypatch.setattr(protocol, "apply_bell_circuit", counted)
+    # a point no other test uses, so a run would not hide behind a cached pass
+    params = SourceParams(gamma1=0.187, gamma23=0.0493, order="pert")
+    for cutoff in (1, 2, 3):
+        for chi in INPUT_STATES.values():
+            teleport(chi, params, cutoff)
+        swap_entanglement(params, cutoff)
+    assert runs == []
+
+
 def test_pert_params_share_the_exact_pass():
     # the click distribution is exact-order whatever the params say
     pert = SourceParams(order="pert")

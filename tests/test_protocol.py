@@ -23,8 +23,6 @@ from railbridge.protocol import (
     build_bell_pair,
     build_resource_omega,
     click_pattern_distribution,
-    herald_qubit,
-    herald_setting_for,
     ideal_swap_target_qubit,
     ideal_teleport_target,
     predetection_state,
@@ -164,44 +162,6 @@ def test_bell_pair_exact_contains_double_pairs():
     assert abs(st.array[2, 0, 0, 2] / st.array[0, 0, 0, 0] - g * g) < 1e-12
 
 
-# --------------------------------------------------------------- heralding
-
-
-def test_herald_onto_v_gives_h_qubit():
-    bell = build_bell_pair(PERT)
-    out, p = herald_qubit(bell, QubitSpec(0.0, 1.0))
-    assert abs(abs(out.array[1, 0]) - 1.0) < 1e-12
-    assert abs(out.array[0, 1]) < 1e-15
-    assert abs(p - 0.054**2 / (1 + 2 * 0.054**2)) < 1e-12
-
-
-def test_herald_setting_recovers_all_six_inputs():
-    bell = build_bell_pair(PERT)
-    for name, chi in INPUT_STATES.items():
-        out, _ = herald_qubit(bell, herald_setting_for(chi))
-        target = qubit_state(chi).dense()
-        got = out.dense()
-        assert abs(abs(target.conj() @ got) - 1.0) < 1e-12, name
-
-
-def test_herald_probability_scales_with_gamma23():
-    p1 = herald_qubit(build_bell_pair(PERT), QubitSpec(0.0, 1.0))[1]
-    weak = SourceParams(gamma23=0.027, order="pert")
-    p2 = herald_qubit(build_bell_pair(weak), QubitSpec(0.0, 1.0))[1]
-    expected = (0.054**2 / (1 + 2 * 0.054**2)) / (0.027**2 / (1 + 2 * 0.027**2))
-    assert p1 / p2 == pytest.approx(expected, rel=1e-9)
-
-
-def test_herald_orthogonal_to_every_term_is_null():
-    # one pair source only: D always carries V, so projecting onto H fails
-    reg = ModeRegister.uniform(["A_H", "A_V", "D_H", "D_V"], 2)
-    st = normalize(
-        PureState(reg, {(0, 0, 0, 0): 1.0 + 0.0j, (1, 0, 0, 1): 0.054 + 0.0j})
-    )
-    with pytest.raises(NullOutcomeError):
-        herald_qubit(st, QubitSpec(1.0, 0.0))
-
-
 # --------------------------------------------------------- ideal projection
 
 
@@ -298,6 +258,24 @@ def test_teleport_pert_success_probability_formula():
             2 * (1 + 2 * g**2)
         )
         assert p == pytest.approx(herald * vals, rel=1e-9)
+
+
+def test_teleport_pert_survives_a_weak_herald_source():
+    # p ~ 1e-18 here: the route must not treat it as a null outcome
+    g, g23 = 0.2, 1e-8
+    params = SourceParams(gamma23=g23, order="pert")
+    for name, chi in INPUT_STATES.items():
+        fid, p = teleport_fidelity(chi, params)
+        assert fid > 1.0 - 1e-9, name
+        herald = g23**2 / (1 + 2 * g23**2)
+        assert p == pytest.approx(herald * g**2 / (2 * (1 + 2 * g**2)), rel=1e-9)
+
+
+@pytest.mark.parametrize("order", ["pert", "exact"])
+def test_teleport_without_herald_pairs_is_null(order):
+    # no A/D pair: the herald counter never fires at either order
+    with pytest.raises(NullOutcomeError):
+        teleport(INPUT_STATES["D"], SourceParams(gamma23=0.0, order=order))
 
 
 def test_teleport_pert_probability_independent_of_input():

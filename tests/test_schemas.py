@@ -79,6 +79,26 @@ REPORTS = {
         "qubit_sector": DENSITY,
         "full_state": DENSITY,
     },
+    "simulate-2": {
+        "schema": "simulate-2", "order": "exact", "cutoff": 2,
+        "inputs": {"H": {
+            "success_probability": 1e-9, "fidelity": 0.9, "state_file": "state_H.json",
+        }},
+        "average_fidelity": 0.9,
+    },
+    "rates-1": {
+        "schema": "rates-1",
+        "rates_in": {"R_L": 7.6e7, "R_alpha": 2.2e4, "R_cc": 51.0,
+                     "R_gamma1": 2.2e4, "R_gamma23": 1.7e3},
+        "projector_loss_factor": 4.0, "eta_d": 0.03, "alpha": 0.2,
+        "gamma1": 0.2, "gamma23": 0.05, "predicted_triple_rate_hz": 0.1,
+        "measured_triple_rate_hz": 0.16, "measured_triple_rate_err_hz": 0.03,
+        "circuit_check": {
+            "per_input": {"H": 9e-10}, "circuit_probability": 9e-10,
+            "formula_probability": 1.6e-9, "circuit_to_formula_ratio": 0.56,
+        },
+        "circuit_triple_rate_hz": 0.07,
+    },
     "pipeline-1": {
         "schema": "pipeline-1",
         "teleport": {
@@ -110,11 +130,24 @@ NESTED = (
     [("swap-1", ("witness",)), ("pipeline-1", ("swap", "witness_corrected")),
      ("pipeline-1", ("swap", "witness_uncorrected"))],
 )
+
+
+def case(kind, path, key, bad):
+    return pytest.param(kind, path, key, bad, id=f"{kind}:{'.'.join(path)}:{key}={bad!r}")
+
+
 CASES = [
-    pytest.param(kind, path, key, bad, id=f"{kind}:{'.'.join(path)}:{key}={bad!r}")
+    case(kind, path, key, bad)
     for places, breaks in zip(NESTED, (DENSITY_BREAKS, WITNESS_BREAKS))
     for kind, path in places
     for key, bad in breaks
+]
+# breaks of a report's own fields, outside any shared definition
+OWN_BREAKS = [
+    case("simulate-2", ("inputs", "H"), "fidelity", 1.5),
+    case("simulate-2", (), "average_fidelity", None),
+    case("rates-1", (), "gamma1", -0.2),
+    case("rates-1", ("circuit_check",), "per_input", None),
 ]
 
 
@@ -123,10 +156,7 @@ def test_well_formed_reports_pass(kind):
     validate_artifact(kind, REPORTS[kind])
 
 
-@pytest.mark.parametrize("kind, path, key, bad", CASES)
-def test_malformed_nested_object_is_rejected_through_the_shared_ref(
-    kind, path, key, bad
-):
+def assert_break_is_rejected(kind, path, key, bad):
     # a JSON round trip, unlike deepcopy, gives each shared DENSITY its own copy
     report = json.loads(json.dumps(REPORTS[kind]))
     nested = report
@@ -139,3 +169,15 @@ def test_malformed_nested_object_is_rejected_through_the_shared_ref(
     with pytest.raises(jsonschema.ValidationError) as info:
         validate_artifact(kind, report)
     assert tuple(info.value.absolute_path)[: len(path)] == path
+
+
+@pytest.mark.parametrize("kind, path, key, bad", CASES)
+def test_malformed_nested_object_is_rejected_through_the_shared_ref(
+    kind, path, key, bad
+):
+    assert_break_is_rejected(kind, path, key, bad)
+
+
+@pytest.mark.parametrize("kind, path, key, bad", OWN_BREAKS)
+def test_malformed_report_field_is_rejected(kind, path, key, bad):
+    assert_break_is_rejected(kind, path, key, bad)
