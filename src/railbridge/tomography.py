@@ -20,11 +20,15 @@ bounds L* - L(rho) from above (Glancy, Knill & Girard, NJP 14, 095017,
 accepted iterate.
 
 Each sample's measurement operator is contracted with the loss channel
-once, up front, into a real row of (c+1)^2 packed coordinates, so every
-likelihood or gradient evaluation is one thin real matrix-vector product
-over the dataset. A joint element |s><s| x Pi_j reads only <s|rho|s>, so
-the joint fit keeps (c+1)^2 columns per setting s, plus one fixed real map
-from packed joint rho to packed <s|rho|s> (the identity for one mode).
+once, up front, into a real row of (c+1)^2 packed coordinates. A joint
+element |s><s| x Pi_j reads only <s|rho|s>, so the joint fit keeps (c+1)^2
+columns per setting s, plus one fixed real map from packed joint rho to
+packed <s|rho|s>; the single-mode fit is one setting read through the
+identity map. One value, `_Likelihood`, holds the rows and the map and
+gives the fit its Born probabilities and gradient, each one thin real
+matrix-vector product over the dataset, and its gap. A sample with
+Tr Pi_j at the probability floor has zero probability under every rho at
+the cutoff and would void the gap, so both fits reject it.
 """
 
 from __future__ import annotations
@@ -170,40 +174,60 @@ def _project_density(h: np.ndarray, dim: int, iu) -> np.ndarray:
     return _pack_hermitian((v * _project_simplex(w)) @ v.conj().T, iu)
 
 
-def _run_maxlik(
-    feats: np.ndarray, to_setting: np.ndarray, opts: ReconstructionOptions,
-    reg: ModeRegister,
-) -> ReconstructionResult:
-    """Fit rho to per-setting feature rows feats (S, N_s, d^2) read through to_setting."""
-    n_set, n_per, width = feats.shape
-    n = n_set * n_per
-    dim = math.isqrt(to_setting.shape[1])
-    iu = np.triu_indices(dim, k=1)
-    feats_t = feats.transpose(0, 2, 1)
+class _Likelihood:
+    """L(rho) of per-setting feature rows feats (S, N_s, d^2) read through to_setting."""
 
-    def forward(x: np.ndarray, p: np.ndarray) -> float:
-        """Born probabilities of packed rho x into p; returns the log-likelihood."""
-        np.matmul(feats, (to_setting @ x).reshape(n_set, width, 1), out=p)
-        np.maximum(p, _P_FLOOR, out=p)
-        return float(np.log(p).sum())
+    def __init__(self, feats: np.ndarray, to_setting: np.ndarray) -> None:
+        self.feats, self.to_setting = feats, to_setting
+        self.feats_t = feats.transpose(0, 2, 1)
+        self.n = feats.shape[0] * feats.shape[1]
+        self.dim = math.isqrt(to_setting.shape[1])
+        self.iu = np.triu_indices(self.dim, k=1)
 
-    def backward(p: np.ndarray) -> np.ndarray:
+    def probs(self, x: np.ndarray) -> np.ndarray:
+        """Born probabilities p (S, N_s, 1) of packed rho x, floored at _P_FLOOR."""
+        p = self.feats @ (self.to_setting @ x).reshape(len(self.feats), -1, 1)
+        return np.maximum(p, _P_FLOOR, out=p)
+
+    def gradient(self, p: np.ndarray) -> np.ndarray:
         """Packed R = (1/N) sum_j Pi_j / p_j, the gradient of L/N."""
-        np.divide(1.0 / n, p, out=weights)
-        return to_setting.T @ np.matmul(feats_t, weights).ravel()
+        return self.to_setting.T @ (self.feats_t @ (1.0 / self.n / p)).ravel()
 
-    def certificate(g: np.ndarray) -> float:
+    def gap(self, grad: np.ndarray) -> float:
         """N (lambda_max(R) - 1) >= L* - L; zero only up to rounding at the optimum."""
-        lam = float(np.linalg.eigvalsh(_unpack_hermitian(g, dim, iu))[-1])
-        return max(0.0, n * (lam - 1.0))
+        lam = float(np.linalg.eigvalsh(_unpack_hermitian(grad, self.dim, self.iu))[-1])
+        return max(0.0, self.n * (lam - 1.0))
 
-    p, p_prev, p_new, p_y, weights = (np.empty((n_set, n_per, 1)) for _ in range(5))
-    x = _pack_hermitian(np.eye(dim, dtype=complex) / dim, iu)
-    loglik = forward(x, p)
-    grad = backward(p)
-    gap = certificate(grad)
+
+def _likelihood(datasets, to_setting: np.ndarray, opts: ReconstructionOptions) -> _Likelihood:
+    """The likelihood of one dataset per setting, its rows loss-contracted at opts."""
+    kraus = loss_channel(opts.eta_correction, opts.cutoff)
+    vectors = (_sample_vectors(ds.theta, ds.x, opts.cutoff) for ds in datasets)
+    feats = np.stack([_feature_rows(v, kraus) for v in vectors])
+    # Tr[rho Pi_j] <= Tr Pi_j, so a sample with Tr Pi_j at the floor is floored for every rho
+    traces = feats[..., : opts.cutoff + 1] @ np.ones(opts.cutoff + 1)  # a matvec beats .sum here
+    dead = int(np.count_nonzero(traces <= _P_FLOOR))
+    if dead:
+        far = max(float(np.abs(ds.x).max()) for ds in datasets)
+        raise ValueError(
+            f"{dead} of {feats.shape[0] * feats.shape[1]} samples lie beyond the reach of "
+            f"cutoff {opts.cutoff} (largest |x| {far:.6g}): no state at that cutoff gives "
+            "them a nonzero probability"
+        )
+    return _Likelihood(feats, to_setting)
+
+
+def _run_maxlik(
+    lik: _Likelihood, opts: ReconstructionOptions, reg: ModeRegister
+) -> ReconstructionResult:
+    """Maximise lik over density matrices by accelerated projected gradient."""
+    x = _pack_hermitian(np.eye(lik.dim, dtype=complex) / lik.dim, lik.iu)
+    p = lik.probs(x)
+    loglik = float(np.log(p).sum())
+    grad = lik.gradient(p)
+    gap = lik.gap(grad)
     trace = [loglik]
-    x_prev = x
+    x_prev, p_prev = x, p
     theta, step = 1.0, _STEP_INIT
     rejected = 0
     iterations = 0
@@ -212,22 +236,21 @@ def _run_maxlik(
         beta = (theta - 1.0) / theta_next
         if beta > 0.0:
             # p is linear in rho, so the momentum point costs no data pass
-            np.subtract(p, p_prev, out=p_y)
-            p_y *= beta
-            p_y += p
+            p_y = p + beta * (p - p_prev)
             if p_y.min() <= _P_MOMENTUM_MIN:
                 theta = 1.0  # restart the momentum from the last accepted iterate
                 continue
             y = x + beta * (x - x_prev)
             loglik_y = float(np.log(p_y).sum())
-            grad_y = backward(p_y)
+            grad_y = lik.gradient(p_y)
         else:
             y, loglik_y, grad_y = x, loglik, grad
         while True:
-            x_new = _project_density(y + step * grad_y, dim, iu)
+            x_new = _project_density(y + step * grad_y, lik.dim, lik.iu)
             d = x_new - y
-            loglik_new = forward(x_new, p_new)
-            if loglik_new >= loglik_y + n * (grad_y @ d - (d @ d) / (2.0 * step)):
+            p_new = lik.probs(x_new)
+            loglik_new = float(np.log(p_new).sum())
+            if loglik_new >= loglik_y + lik.n * (grad_y @ d - (d @ d) / (2.0 * step)):
                 break
             if loglik_new < loglik:
                 rejected += 1
@@ -241,16 +264,16 @@ def _run_maxlik(
             break  # no ascent step left at machine precision
         iterations += 1
         x_prev, x = x, x_new
-        p_prev, p, p_new = p, p_new, p_prev
+        p_prev, p = p, p_new
         loglik = loglik_new
         trace.append(loglik)
         theta = theta_next
         step *= _STEP_GROWTH
-        grad = backward(p)
-        gap = certificate(grad)
+        grad = lik.gradient(p)
+        gap = lik.gap(grad)
     floored = int(np.count_nonzero(p <= _P_FLOOR))  # p of the accepted rho
     return ReconstructionResult(
-        DensityMatrix(reg, _unpack_hermitian(x, dim, iu)), iterations, trace,
+        DensityMatrix(reg, _unpack_hermitian(x, lik.dim, lik.iu)), iterations, trace,
         gap < GAP_TOL, opts.eta_correction, floored, rejected, gap,
     )
 
@@ -261,10 +284,9 @@ def maxlik_reconstruct(
     """Reconstruct a single-mode state from quadrature samples."""
     if len(data) == 0:
         raise ValueError("cannot reconstruct from an empty dataset")
-    vectors = _sample_vectors(data.theta, data.x, opts.cutoff)
-    feats = _feature_rows(vectors, loss_channel(opts.eta_correction, opts.cutoff))
+    lik = _likelihood([data], np.eye((opts.cutoff + 1) ** 2), opts)
     reg = ModeRegister((_FOCK_MODE,), (opts.cutoff,))
-    return _run_maxlik(feats[None], np.eye((opts.cutoff + 1) ** 2), opts, reg)
+    return _run_maxlik(lik, opts, reg)
 
 
 def joint_reconstruct_swapped(
@@ -290,15 +312,11 @@ def joint_reconstruct_swapped(
     if min(counts) == 0 or len(set(counts)) > 1:
         listed = ", ".join(f"{name}={n}" for name, n in zip(INPUT_STATES, counts))
         raise ValueError(f"analysis settings need equal nonzero sample counts, got {listed}")
-    kraus = loss_channel(opts.eta_correction, opts.cutoff)
-    feats = np.stack([
-        _feature_rows(_sample_vectors(ds.theta, ds.x, opts.cutoff), kraus)
-        for ds in (datasets[name] for name in INPUT_STATES)
-    ])
     settings = np.array([[q.a, q.b] for q in INPUT_STATES.values()], dtype=complex)
     to_setting = _setting_maps(settings, opts.cutoff + 1)
+    lik = _likelihood([datasets[name] for name in INPUT_STATES], to_setting, opts)
     reg = ModeRegister(("D_pol", _FOCK_MODE), (1, opts.cutoff))
-    return _run_maxlik(feats, to_setting, opts, reg)
+    return _run_maxlik(lik, opts, reg)
 
 
 def _psd_eigs(name: str, matrix: np.ndarray, tol: float = 1e-8):

@@ -203,6 +203,19 @@ def test_reconstruct_csv_line_error(tmp_path, capsys):
     assert "line 3" in json.loads(stderr)["error"]["message"]
 
 
+def test_reconstruct_rejects_samples_beyond_the_cutoff(tmp_path, capsys):
+    # used to exit 0: iterations 0, converged true, likelihood gap 0 and the
+    # maximally mixed state, with both samples floored
+    far = tmp_path / "far.csv"
+    far.write_text("theta_rad,x\n0.0,40.0\n1.0,-35.0\n")
+    out = tmp_path / "o"
+    code, stdout, stderr = run(capsys, "reconstruct", str(far), "--out", str(out))
+    assert code == 1 and stdout == ""
+    message = assert_one_error_line(stderr, "reconstruct")
+    assert "2 of 2 samples" in message and "cutoff 4" in message
+    assert not out.exists()
+
+
 def test_wigner_single_photon_grid(tmp_path, capsys):
     state = single_photon_file(tmp_path)
     out = str(tmp_path / "w")
