@@ -157,8 +157,7 @@ def _cumulative_kernel(psi: np.ndarray, xgrid: np.ndarray) -> np.ndarray:
     """Running trapezoid integral of each psi_m psi_n product, (d^2, grid).
 
     The operations are those of scipy's cumulative_trapezoid(initial=0),
-    in the same order, so the table is bit-equal to it while
-    scipy.integrate, which imports most of scipy, stays off the import path.
+    in the same order, so the table is bit-equal to it.
     """
     d = psi.shape[0]
     kernel = (psi[:, None, :] * psi[None, :, :]).reshape(d * d, -1)

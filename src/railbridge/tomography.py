@@ -16,8 +16,9 @@ sufficient-increase condition and grows a little after each accepted
 step; the momentum restarts from the last accepted iterate whenever the
 likelihood drops. Since L is concave, gap = N (lambda_max(R(rho)) - 1)
 bounds L* - L(rho) from above (Glancy, Knill & Girard, NJP 14, 095017,
-2012); the fit is converged once gap < GAP_TOL, checked at every
-accepted iterate.
+2012); the fit is converged once gap < GAP_TOL and no sample probability
+sits at the floor, checked at every accepted iterate. A floored sample
+leaves Tr[rho R] < 1, and then the gap bounds nothing.
 
 Each sample's measurement operator is contracted with the loss channel
 once, up front, into a real row of (c+1)^2 packed coordinates. A joint
@@ -63,8 +64,9 @@ class ReconstructionOptions:
 
     eta_correction = 1 reconstructs the detected state; < 1 folds that
     much loss into the POVM so the result refers to the pre-loss state.
-    The fit stops once its certified likelihood gap falls below GAP_TOL,
-    or after max_iter accepted steps.
+    The fit stops once its certified likelihood gap falls below GAP_TOL
+    with no sample probability at the floor, or after max_iter accepted
+    steps.
     """
 
     cutoff: int = 4
@@ -88,8 +90,9 @@ class ReconstructionResult:
     log-likelihood of the start and of each accepted iterate, never
     decreasing. rejected_steps counts trial steps that fell below the
     last accepted likelihood and were shortened; momentum restarts are
-    not counted. likelihood_gap bounds L* - final_loglik in nats, and
-    converged means it is below GAP_TOL.
+    not counted. likelihood_gap bounds L* - final_loglik in nats when
+    floored_samples is 0, and converged means both that and a gap below
+    GAP_TOL.
     """
 
     rho: DensityMatrix
@@ -231,7 +234,7 @@ def _run_maxlik(
     theta, step = 1.0, _STEP_INIT
     rejected = 0
     iterations = 0
-    while gap >= GAP_TOL and iterations < opts.max_iter:
+    while (gap >= GAP_TOL or p.min() <= _P_FLOOR) and iterations < opts.max_iter:
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         beta = (theta - 1.0) / theta_next
         if beta > 0.0:
@@ -274,7 +277,7 @@ def _run_maxlik(
     floored = int(np.count_nonzero(p <= _P_FLOOR))  # p of the accepted rho
     return ReconstructionResult(
         DensityMatrix(reg, _unpack_hermitian(x, lik.dim, lik.iu)), iterations, trace,
-        gap < GAP_TOL, opts.eta_correction, floored, rejected, gap,
+        gap < GAP_TOL and not floored, opts.eta_correction, floored, rejected, gap,
     )
 
 
@@ -348,13 +351,13 @@ def wigner(rho: DensityMatrix, q_grid: np.ndarray, p_grid: np.ndarray) -> np.nda
     """Wigner function W(q, p) on the outer grid, rows indexed by q.
 
     W = (1/pi) Integral dy e^{2ipy} <q-y|rho|q+y> under the vacuum-
-    variance-1/2 convention, evaluated through the closed-form
-    number-basis kernels (Laguerre polynomials times a Gaussian).
-    Normalized so the full plane integrates to 1.
+    variance-1/2 convention, normalized so the full plane integrates to 1.
+    With a = sqrt(2) (q + ip), W = sum_m rho_mm W_mm + 2 sum_{m<n}
+    Re(rho_mn W_mn) over the number-basis kernels, built by the two-term
+    recurrence from the vacuum Gaussian (Leonhardt 1997; QuTiP's
+    iterative method): W_00 = e^{-|a|^2/2}/pi, W_0n = a W_0,n-1/sqrt(n),
+    and W_mn = (a* W_m-1,n - sqrt(n) W_m-1,n-1)/sqrt(m) for n >= m.
     """
-    # imported here: scipy.special is slow to import and only wigner needs it
-    from scipy.special import eval_genlaguerre, eval_laguerre
-
     if rho.register.n_modes != 1:
         raise ValueError(f"Wigner model is single-mode; got {rho.register.labels}")
     q = np.asarray(q_grid, dtype=float)
@@ -362,25 +365,20 @@ def wigner(rho: DensityMatrix, q_grid: np.ndarray, p_grid: np.ndarray) -> np.nda
     if q.size == 0 or p.size == 0:
         raise ValueError("empty Wigner grid")
     qq, pp = np.meshgrid(q, p, indexing="ij")
-    z = qq + 1j * pp
-    r2 = qq * qq + pp * pp
-    envelope = np.exp(-r2) / math.pi
+    a = math.sqrt(2.0) * (qq + 1j * pp)
     d = rho.matrix.shape[0]
+    root_n = np.sqrt(np.arange(d))[:, None, None]
+    # kern[n] holds W_mn for the current row m; entries n < m are stale
+    kern = np.empty((d,) + a.shape, dtype=complex)
+    kern[0] = np.exp(-(qq * qq + pp * pp)) / math.pi
+    for n in range(1, d):
+        kern[n] = a * kern[n - 1] / root_n[n]
     out = np.zeros_like(qq)
     for m in range(d):
-        c = rho.matrix[m, m]
-        if abs(c) > 1e-18:
-            out += np.real(c) * (-1) ** m * envelope * eval_laguerre(m, 2.0 * r2)
-        for n in range(m + 1, d):
-            c = rho.matrix[m, n]
-            if abs(c) < 1e-18:
-                continue
-            k = n - m
-            scale = (-1) ** m * math.sqrt(
-                2.0**k * math.factorial(m) / math.factorial(n)
-            )
-            kern = scale * envelope * z**k * eval_genlaguerre(m, k, 2.0 * r2)
-            out += 2.0 * np.real(c * kern)
+        if m:
+            kern[m:] = (a.conj() * kern[m:] - root_n[m:] * kern[m - 1 : -1]) / root_n[m]
+        out += np.real(rho.matrix[m, m]) * np.real(kern[m])
+        out += 2.0 * np.real(np.tensordot(rho.matrix[m, m + 1 :], kern[m + 1 :], axes=1))
     return out
 
 

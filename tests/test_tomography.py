@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 from railbridge.fock import (
     DensityMatrix,
@@ -212,6 +213,20 @@ def test_maxlik_rejects_samples_no_state_at_the_cutoff_explains(cutoff, eta):
         maxlik_reconstruct(data, opts)
 
 
+@pytest.mark.parametrize("x, floored", [(26.0, 0), (26.5, 1)])
+def test_maxlik_with_a_floored_sample_is_not_certified(x, floored):
+    # at x = 26.5 Tr Pi_j is above the floor, so the sample is kept, but the
+    # fit's rho leaves its probability at the floor: then Tr[rho R] < 1 and
+    # N (lambda_max(R) - 1) bounds nothing. Stopping on the gap alone, this
+    # fit stops after 4 iterations with a gap of 0 and reports converged
+    data = with_far_samples(sample(fock_state(1, 2), 2000, seed=50), [x])
+    res = maxlik_reconstruct(data, ReconstructionOptions(cutoff=2))
+    assert res.floored_samples == floored
+    assert res.converged == (floored == 0)
+    if res.converged:
+        assert 0.0 <= res.likelihood_gap < GAP_TOL
+
+
 # ------------------------------------------------------------------- joint
 
 
@@ -398,6 +413,33 @@ def test_wigner_matches_integral_transform():
     for i, q in enumerate(q_pts):
         for j, p in enumerate(p_pts):
             assert abs(grid[i, j] - wigner_integral_oracle(rho, q, p)) < 1e-8
+
+
+def wigner_laguerre_oracle(rho, q, p):
+    # closed-form number-basis kernels: for m <= n, with k = n - m and z = q + ip,
+    # W_mn = (-1)^m sqrt(2^k m!/n!) z^k L_m^k(2|z|^2) e^{-|z|^2}/pi
+    qq, pp = np.meshgrid(q, p, indexing="ij")
+    z = qq + 1j * pp
+    r2 = qq * qq + pp * pp
+    d = rho.matrix.shape[0]
+    out = np.zeros_like(qq)
+    for m in range(d):
+        for n in range(m, d):
+            k = n - m
+            scale = (-1) ** m * math.sqrt(2.0**k * math.factorial(m) / math.factorial(n))
+            kern = scale * z**k * eval_genlaguerre(m, k, 2.0 * r2) * np.exp(-r2) / math.pi
+            out += (1.0 if k == 0 else 2.0) * np.real(rho.matrix[m, n] * kern)
+    return out
+
+
+@pytest.mark.parametrize("cutoff", range(1, 11))
+def test_wigner_recurrence_matches_laguerre_closed_form(cutoff):
+    rng = np.random.default_rng(25 + cutoff)
+    rho = random_mixed(rng, cutoff, rank=cutoff + 1)
+    q = np.linspace(-6.0, 6.0, 61)
+    p = np.linspace(-6.0, 6.0, 49)
+    err = np.abs(wigner(rho, q, p) - wigner_laguerre_oracle(rho, q, p)).max()
+    assert err < 1e-12
 
 
 def test_wigner_normalization_and_marginal():
