@@ -85,8 +85,8 @@ def quadrature_pdf(rho: DensityMatrix, theta: float) -> Callable[[object], objec
 class QuadratureDataset:
     """Homodyne samples plus the efficiency they were recorded at.
 
-    ``theta`` and ``x`` are equal-length 1-D float arrays: sample j was
-    recorded at phase theta[j] with quadrature value x[j].
+    ``theta`` and ``x`` are equal-length 1-D arrays of finite floats:
+    sample j was recorded at phase theta[j] with quadrature value x[j].
     """
 
     theta: np.ndarray
@@ -101,6 +101,8 @@ class QuadratureDataset:
                 f"theta and x must be 1-D arrays of equal length, got shapes "
                 f"{self.theta.shape} and {self.x.shape}"
             )
+        if not (np.isfinite(self.theta).all() and np.isfinite(self.x).all()):
+            raise ValueError("theta and x must hold finite values only")
 
     def __len__(self) -> int:
         return len(self.theta)

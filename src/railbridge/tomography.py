@@ -20,12 +20,13 @@ bounds L* - L(rho) from above (Glancy, Knill & Girard, NJP 14, 095017,
 sits at the floor, checked at every accepted iterate. A floored sample
 leaves Tr[rho R] < 1, and then the gap bounds nothing.
 
-Each sample's measurement operator is contracted with the loss channel
-once, up front, into a real row of (c+1)^2 packed coordinates. A joint
-element |s><s| x Pi_j reads only <s|rho|s>, so the joint fit keeps (c+1)^2
-columns per setting s, plus one fixed real map from packed joint rho to
-packed <s|rho|s>; the single-mode fit is one setting read through the
-identity map. One value, `_Likelihood`, holds the rows and the map and
+Sample j, taken at analyser setting s, has p_sj = Tr[P_j E(<s|rho|s>)],
+with P_j = |v_j><v_j| its bare quadrature projector and E the detector
+loss, so Pi_j = |s><s| x E^dagger(P_j) (Lvovsky, J. Opt. B 6, S556, 2004).
+In the real coordinates Re a + Im a, whose dot product is Tr[A B], each
+sample's row is its packed P_j, and one fixed real matrix maps packed rho
+to packed E(<s|rho|s>) for every s; the single-mode fit has the one
+setting 1. One value, `_Likelihood`, holds the rows and the map and
 gives the fit its Born probabilities and gradient, each one thin real
 matrix-vector product over the dataset, and its gap. A sample with
 Tr Pi_j at the probability floor has zero probability under every rho at
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Mapping
 
 import numpy as np
 
@@ -115,52 +116,35 @@ def _sample_vectors(thetas: np.ndarray, xs: np.ndarray, cutoff: int) -> np.ndarr
     return psi.T * np.exp(1j * np.outer(thetas, np.arange(cutoff + 1)))
 
 
-def _pack_hermitian(a: np.ndarray, iu) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix, or of a stack of them.
+def _pack(a: np.ndarray) -> np.ndarray:
+    """Real coordinates Re a + Im a of a Hermitian matrix, or of a stack of them, flattened.
 
-    Scaled so the packed dot product of two matrices equals Tr[A B]; that
-    turns every Born probability into one real row-times-vector product.
+    Re a is symmetric and Im a antisymmetric, so pack(A) . pack(B) = Tr[A B]
+    and the norm is the Frobenius norm: every Born probability is one real
+    row-times-vector product.
     """
-    off = a[..., iu[0], iu[1]] * math.sqrt(2.0)
-    diag = np.diagonal(a, axis1=-2, axis2=-1)
-    return np.concatenate([np.real(diag), np.real(off), np.imag(off)], axis=-1)
+    return (a.real + a.imag).reshape(*a.shape[:-2], -1)
 
 
-def _unpack_hermitian(h: np.ndarray, d: int, iu) -> np.ndarray:
-    n_off = (d * (d - 1)) // 2
-    a = np.zeros((d, d), dtype=complex)
-    a[iu] = (h[d : d + n_off] + 1j * h[d + n_off :]) / math.sqrt(2.0)
-    a = a + a.conj().T
-    a[np.diag_indices(d)] = h[:d]
-    return a
+def _unpack(h: np.ndarray) -> np.ndarray:
+    """The Hermitian matrix, or stack of them, whose packed coordinates are h."""
+    d = math.isqrt(h.shape[-1])
+    t = h.reshape(*h.shape[:-1], d, d)
+    t_t = np.swapaxes(t, -1, -2)
+    return (t + t_t) / 2.0 + 1j * ((t - t_t) / 2.0)
 
 
-def _feature_rows(vectors: np.ndarray, kraus: Sequence[np.ndarray]) -> np.ndarray:
-    """Packed loss-contracted POVM element of every sample, one real row each."""
-    n, d = vectors.shape
-    iu = np.triu_indices(d, k=1)
-    n_off = (d * (d - 1)) // 2
-    feats = np.zeros((n, d + 2 * n_off))
-    for K in kraus:
-        w = vectors @ K.conj()  # rows K^dagger |v_j>
-        feats[:, :d] += np.abs(w) ** 2
-        cross = math.sqrt(2.0) * w[:, iu[0]] * w[:, iu[1]].conj()
-        feats[:, d : d + n_off] += np.real(cross)
-        feats[:, d + n_off :] += np.imag(cross)
-    return feats
+def _measurement_map(settings: np.ndarray, kraus) -> np.ndarray:
+    """Real map (S d^2, D^2) from packed rho to packed E(<s|rho|s>) of every setting s.
 
-
-def _setting_maps(settings: np.ndarray, d: int) -> np.ndarray:
-    """Real map (S d^2, D^2) from packed joint rho to packed <s|rho|s> of every setting.
-
-    Row (s, i) is pack(|s><s| x b_i) for the dual basis b_i of the packed
-    coordinates, so its dot product with pack(rho) is pack(<s|rho|s>)_i.
+    Settings are unit rows on the analysed factor and E has d x d Kraus
+    matrices; column k is the image of the k-th packed coordinate.
     """
-    dim = settings.shape[1] * d
-    basis = np.array([_unpack_hermitian(e, d, np.triu_indices(d, k=1)) for e in np.eye(d * d)])
-    proj = np.einsum("sa,sb->sab", settings, settings.conj())
-    lifted = np.einsum("sab,imn->siambn", proj, basis).reshape(-1, dim, dim)
-    return _pack_hermitian(lifted, np.triu_indices(dim, k=1))
+    n, d = settings.shape[1], kraus[0].shape[0]
+    basis = _unpack(np.eye((n * d) ** 2)).reshape(-1, n, d, n, d)
+    seen = np.einsum("sa,kambn,sb->ksmn", settings.conj(), basis, settings)
+    lossy = sum(K @ seen @ K.conj().T for K in kraus)
+    return _pack(lossy).reshape(len(basis), -1).T
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
@@ -171,10 +155,10 @@ def _project_simplex(w: np.ndarray) -> np.ndarray:
     return np.maximum(w - shift[k], 0.0)
 
 
-def _project_density(h: np.ndarray, dim: int, iu) -> np.ndarray:
+def _project_density(h: np.ndarray) -> np.ndarray:
     """Packed density matrix nearest (Frobenius) to the packed Hermitian h."""
-    w, v = np.linalg.eigh(_unpack_hermitian(h, dim, iu))
-    return _pack_hermitian((v * _project_simplex(w)) @ v.conj().T, iu)
+    w, v = np.linalg.eigh(_unpack(h))
+    return _pack((v * _project_simplex(w)) @ v.conj().T)
 
 
 class _Likelihood:
@@ -185,7 +169,6 @@ class _Likelihood:
         self.feats_t = feats.transpose(0, 2, 1)
         self.n = feats.shape[0] * feats.shape[1]
         self.dim = math.isqrt(to_setting.shape[1])
-        self.iu = np.triu_indices(self.dim, k=1)
 
     def probs(self, x: np.ndarray) -> np.ndarray:
         """Born probabilities p (S, N_s, 1) of packed rho x, floored at _P_FLOOR."""
@@ -198,33 +181,40 @@ class _Likelihood:
 
     def gap(self, grad: np.ndarray) -> float:
         """N (lambda_max(R) - 1) >= L* - L; zero only up to rounding at the optimum."""
-        lam = float(np.linalg.eigvalsh(_unpack_hermitian(grad, self.dim, self.iu))[-1])
+        lam = float(np.linalg.eigvalsh(_unpack(grad))[-1])
         return max(0.0, self.n * (lam - 1.0))
 
 
-def _likelihood(datasets, to_setting: np.ndarray, opts: ReconstructionOptions) -> _Likelihood:
-    """The likelihood of one dataset per setting, its rows loss-contracted at opts."""
+def _likelihood(datasets, settings: np.ndarray, opts: ReconstructionOptions) -> _Likelihood:
+    """The likelihood p_sj = Tr[P_j E(<s|rho|s>)] of one dataset per setting s.
+
+    The rows are the packed bare projectors P_j and E is the loss at
+    opts.eta_correction.
+    """
+    # one dataset at a time keeps the complex (N_s, d, d) projector stack small
+    feats = np.empty((len(datasets), len(datasets[0]), (opts.cutoff + 1) ** 2))
+    for rows, ds in zip(feats, datasets):
+        v = _sample_vectors(ds.theta, ds.x, opts.cutoff)
+        rows[:] = _pack(v[:, :, None] * v[:, None, :].conj())
     kraus = loss_channel(opts.eta_correction, opts.cutoff)
-    vectors = (_sample_vectors(ds.theta, ds.x, opts.cutoff) for ds in datasets)
-    feats = np.stack([_feature_rows(v, kraus) for v in vectors])
-    # Tr[rho Pi_j] <= Tr Pi_j, so a sample with Tr Pi_j at the floor is floored for every rho
-    traces = feats[..., : opts.cutoff + 1] @ np.ones(opts.cutoff + 1)  # a matvec beats .sum here
-    dead = int(np.count_nonzero(traces <= _P_FLOOR))
+    lik = _Likelihood(feats, _measurement_map(settings, kraus))
+    # Tr[rho Pi_j] <= Tr Pi_j = p_j(I), so a sample floored at I is floored for every rho
+    dead = int(np.count_nonzero(lik.probs(_pack(np.eye(lik.dim))) <= _P_FLOOR))
     if dead:
         far = max(float(np.abs(ds.x).max()) for ds in datasets)
         raise ValueError(
-            f"{dead} of {feats.shape[0] * feats.shape[1]} samples lie beyond the reach of "
+            f"{dead} of {lik.n} samples lie beyond the reach of "
             f"cutoff {opts.cutoff} (largest |x| {far:.6g}): no state at that cutoff gives "
             "them a nonzero probability"
         )
-    return _Likelihood(feats, to_setting)
+    return lik
 
 
 def _run_maxlik(
     lik: _Likelihood, opts: ReconstructionOptions, reg: ModeRegister
 ) -> ReconstructionResult:
     """Maximise lik over density matrices by accelerated projected gradient."""
-    x = _pack_hermitian(np.eye(lik.dim, dtype=complex) / lik.dim, lik.iu)
+    x = _pack(np.eye(lik.dim) / lik.dim)
     p = lik.probs(x)
     loglik = float(np.log(p).sum())
     grad = lik.gradient(p)
@@ -249,7 +239,7 @@ def _run_maxlik(
         else:
             y, loglik_y, grad_y = x, loglik, grad
         while True:
-            x_new = _project_density(y + step * grad_y, lik.dim, lik.iu)
+            x_new = _project_density(y + step * grad_y)
             d = x_new - y
             p_new = lik.probs(x_new)
             loglik_new = float(np.log(p_new).sum())
@@ -276,7 +266,7 @@ def _run_maxlik(
         gap = lik.gap(grad)
     floored = int(np.count_nonzero(p <= _P_FLOOR))  # p of the accepted rho
     return ReconstructionResult(
-        DensityMatrix(reg, _unpack_hermitian(x, lik.dim, lik.iu)), iterations, trace,
+        DensityMatrix(reg, _unpack(x)), iterations, trace,
         gap < GAP_TOL and not floored, opts.eta_correction, floored, rejected, gap,
     )
 
@@ -287,7 +277,7 @@ def maxlik_reconstruct(
     """Reconstruct a single-mode state from quadrature samples."""
     if len(data) == 0:
         raise ValueError("cannot reconstruct from an empty dataset")
-    lik = _likelihood([data], np.eye((opts.cutoff + 1) ** 2), opts)
+    lik = _likelihood([data], np.ones((1, 1)), opts)
     reg = ModeRegister((_FOCK_MODE,), (opts.cutoff,))
     return _run_maxlik(lik, opts, reg)
 
@@ -316,8 +306,7 @@ def joint_reconstruct_swapped(
         listed = ", ".join(f"{name}={n}" for name, n in zip(INPUT_STATES, counts))
         raise ValueError(f"analysis settings need equal nonzero sample counts, got {listed}")
     settings = np.array([[q.a, q.b] for q in INPUT_STATES.values()], dtype=complex)
-    to_setting = _setting_maps(settings, opts.cutoff + 1)
-    lik = _likelihood([datasets[name] for name in INPUT_STATES], to_setting, opts)
+    lik = _likelihood([datasets[name] for name in INPUT_STATES], settings, opts)
     reg = ModeRegister(("D_pol", _FOCK_MODE), (1, opts.cutoff))
     return _run_maxlik(lik, opts, reg)
 

@@ -196,6 +196,11 @@ def test_dataset_needs_equal_length_1d_arrays():
         QuadratureDataset(np.zeros((2, 2)), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="1-D"):
         QuadratureDataset(0.1, 0.2)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureDataset([0.1, 0.2, 0.3], [0.0, bad, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            QuadratureDataset([0.1, bad, 0.3], [0.0, 0.2, 0.5])
 
 
 def test_write_csv_exact_bytes(tmp_path):

@@ -21,10 +21,12 @@ from railbridge.tomography import (
     GAP_TOL,
     ReconstructionOptions,
     ReconstructionResult,
-    _feature_rows,
     _Likelihood,
+    _likelihood,
+    _pack,
     _run_maxlik,
     _sample_vectors,
+    _unpack,
     entanglement_witness,
     fidelity,
     joint_reconstruct_swapped,
@@ -116,6 +118,22 @@ def test_povm_adjoint_identity_against_pdf():
         lhs = float(np.real(np.trace(rho.matrix @ quadrature_povm(theta, x, eta, 4))))
         rhs = quadrature_pdf(lossy, theta)(x)
         assert abs(lhs - rhs) < 1e-10
+
+
+@pytest.mark.parametrize("d", range(2, 11))
+def test_packed_coordinates_hold_the_trace_inner_product(d):
+    rng = np.random.default_rng(d)
+    g = rng.normal(size=(2, 5, d, d)) + 1j * rng.normal(size=(2, 5, d, d))
+    a, b = g + g.conj().swapaxes(-1, -2)  # two stacks of five Hermitian matrices
+    traces = np.einsum("kmn,knm->k", a, b)
+    assert np.max(np.abs(np.einsum("ki,ki->k", _pack(a), _pack(b)) - traces)) <= 1e-12
+    assert np.max(np.abs(_unpack(_pack(a)) - a)) <= 1e-12
+    h = rng.normal(size=(5, d * d))
+    assert np.max(np.abs(_pack(_unpack(h)) - h)) <= 1e-12
+    # without loss, one setting reads rho itself
+    ds = QuadratureDataset([0.3], [0.2])
+    lik = _likelihood([ds], np.ones((1, 1)), ReconstructionOptions(cutoff=d - 1))
+    assert np.array_equal(lik.to_setting, np.eye(d * d))
 
 
 # ------------------------------------------------------------- reconstruction
@@ -327,8 +345,11 @@ def lifted_joint_fit(datasets, opts):
         ds = datasets[name]
         v = _sample_vectors(ds.theta, ds.x, opts.cutoff)
         blocks.append(np.einsum("a,jn->jan", setting, v).reshape(len(ds), -1))
-    kraus = loss_channel(opts.eta_correction, opts.cutoff)
-    feats = _feature_rows(np.concatenate(blocks), [np.kron(np.eye(2), K) for K in kraus])
+    lifted = np.concatenate(blocks)
+    feats = 0.0
+    for K in loss_channel(opts.eta_correction, opts.cutoff):
+        w = lifted @ np.kron(np.eye(2), K).conj()  # rows (I x K)^dagger |s, v_j>
+        feats = feats + _pack(w[:, :, None] * w[:, None, :].conj())
     dim = 2 * (opts.cutoff + 1)
     reg = ModeRegister(("D_pol", "B"), (1, opts.cutoff))
     return _run_maxlik(_Likelihood(feats[None], np.eye(dim * dim)), opts, reg)
