@@ -40,7 +40,6 @@ from .protocol import (
 from .homodyne import (
     QuadratureDataset,
     phase_estimate,
-    quadrature_pdf,
     sample,
 )
 from .tomography import (

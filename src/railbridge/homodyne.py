@@ -1,11 +1,14 @@
 """Balanced-homodyne statistics for a single optical mode.
 
-Exact quadrature distributions of a truncated density matrix, seeded
-synthetic datasets drawn at uniform phases by inverse-CDF sampling on a
-fixed grid (one bisection per draw against that draw's own phase), CSV
-import/export, and phase estimation from the angle dependence of the
-windowed mean quadrature. A dataset is two float arrays, the phases
-and the quadrature values.
+Seeded synthetic datasets drawn at uniform phases by inverse-CDF
+sampling of the exact quadrature distribution of a truncated density
+matrix on a fixed grid (one bisection per draw against that draw's own
+phase), CSV import/export, and phase estimation from the angle
+dependence of the windowed mean quadrature. A dataset is two float
+arrays, the phases and the quadrature values. Sampling and CSV writing
+work through a dataset in blocks of _BLOCK_ROWS rows, and reading packs
+the values as it parses, so beyond the dataset itself they hold one
+block's temporaries at most.
 
 Conventions: [q, p] = i, X_theta = q cos(theta) + p sin(theta), vacuum
 variance 1/2. The number-state wavefunctions are the Hermite functions
@@ -18,8 +21,10 @@ phase e^{i n theta}, so
 from __future__ import annotations
 
 import math
+import numbers
+from array import array
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +32,9 @@ from .fock import DensityMatrix, loss_channel
 
 # (x_min, x_max, points); wide enough for every reconstructed-class state
 DEFAULT_GRID = (-6.0, 6.0, 2048)
+# rows per block of the O(N) stages: sampling, CSV writing and fit rows;
+# at cutoff 4 a block's widest temporary, complex (rows, 5, 5), is 1.6 MB
+_BLOCK_ROWS = 4096
 
 
 class GridError(ValueError):
@@ -54,31 +62,27 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blocks(n: int) -> Iterator[slice]:
+    """Consecutive slices of at most _BLOCK_ROWS rows that cover range(n).
+
+    A lone last row joins the block before it: numpy takes a one-row
+    matrix-vector product as a dot product, whose rounding differs from
+    that row's inside a longer product, and blocks must not show in any
+    result.
+    """
+    starts = list(range(0, n, _BLOCK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [n]):
+        yield slice(start, stop)
+
+
 def _single_mode_matrix(rho: DensityMatrix) -> np.ndarray:
     if rho.register.n_modes != 1:
         raise ValueError(
             f"homodyne model is single-mode; got register {rho.register.labels}"
         )
     return rho.matrix
-
-
-def quadrature_pdf(rho: DensityMatrix, theta: float) -> Callable[[object], object]:
-    """Probability density of X_theta for a single-mode state.
-
-    Returns a callable mapping x (scalar or array) to the density, the
-    kernel expansion that `sample` draws from at this one phase.
-    """
-    m = _single_mode_matrix(rho)
-    d = m.shape[0]
-    weights = _phase_coefficients(m, np.array([theta])).reshape(d, d)
-
-    def pdf(x):
-        arr = np.atleast_1d(np.asarray(x, dtype=float))
-        psi = hermite_functions(d - 1, arr)
-        vals = np.einsum("mx,mn,nx->x", psi, weights, psi)
-        return vals if np.ndim(x) else float(vals[0])
-
-    return pdf
 
 
 @dataclass
@@ -109,17 +113,19 @@ class QuadratureDataset:
 
     def write_csv(self, path) -> None:
         # .tolist() yields Python floats, whose repr is the shortest
-        # round-tripping form
+        # round-tripping form; one block at a time keeps the lists small
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("theta_rad,x\n")
-            fh.writelines(
-                f"{t!r},{x!r}\n" for t, x in zip(self.theta.tolist(), self.x.tolist())
-            )
+            for rows in _blocks(len(self)):
+                fh.writelines(
+                    f"{t!r},{x!r}\n"
+                    for t, x in zip(self.theta[rows].tolist(), self.x[rows].tolist())
+                )
 
     @classmethod
     def read_csv(cls, path, eta_assumed: float = 1.0) -> "QuadratureDataset":
-        thetas: List[float] = []
-        xs: List[float] = []
+        # packed doubles, not one float object per value
+        thetas, xs = array("d"), array("d")
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             if header != "theta_rad,x":
@@ -186,8 +192,12 @@ def sample(
     quadrature is inverted on DEFAULT_GRID; a state whose distribution the
     grid cannot hold raises GridError. Detection efficiency eta < 1 is
     applied as a photon-loss channel before sampling, and is recorded in
-    the dataset as eta_assumed. Deterministic for a fixed seed.
+    the dataset as eta_assumed. Deterministic for a fixed seed. The
+    inversion runs in blocks of draws, so its working memory beyond the
+    returned arrays is one block's, whatever n_samples is.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     matrix = _single_mode_matrix(rho)
@@ -199,39 +209,41 @@ def sample(
     xgrid = np.linspace(*DEFAULT_GRID)
     d = matrix.shape[0]
     cumkernel = _cumulative_kernel(hermite_functions(d - 1, xgrid), xgrid)
+    kernel_rows = np.ascontiguousarray(cumkernel.T)
     g = len(xgrid)
 
     rng = np.random.default_rng(seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, n_samples)
-
+    # xs holds the uniform draws until each block overwrites its own
+    xs = rng.random(n_samples)
     # Every draw has its own phase, hence its own CDF row. Tabulating those
     # rows costs gigabytes of gemm traffic at 1e5 draws, so invert by
     # first-crossing bisection instead, evaluating each row only at the
     # ~log2(g) probed grid points.
-    coeff = _phase_coefficients(matrix, thetas)
-    kernel_rows = np.ascontiguousarray(cumkernel.T)
-    totals = coeff @ kernel_rows[-1]
-    worst = float(np.max(np.abs(totals - 1.0)))
-    if worst > 1e-3:
-        raise GridError(
-            f"grid integral off by {worst:.3e}; widen or refine the sampling grid"
-        )
-    # search for the unnormalized crossing cdf(x) = u * total instead of
-    # dividing every row through by its total
-    u = rng.random(n_samples) * totals
-    lo_i = np.zeros(n_samples, dtype=np.intp)
-    hi_i = np.full(n_samples, g - 1, dtype=np.intp)
-    while True:
-        narrow = (hi_i - lo_i) > 1
-        if not narrow.any():
-            break
-        mid = (lo_i + hi_i) >> 1
-        right = _row_cdf_at(coeff, kernel_rows, mid) < u
-        lo_i = np.where(narrow & right, mid, lo_i)
-        hi_i = np.where(narrow & ~right, mid, hi_i)
-    lo_c = _row_cdf_at(coeff, kernel_rows, lo_i)
-    hi_c = _row_cdf_at(coeff, kernel_rows, hi_i)
-    xs = _interp_inverse(lo_c, hi_c, xgrid[lo_i], xgrid[hi_i], u)
+    for rows in _blocks(n_samples):
+        coeff = _phase_coefficients(matrix, thetas[rows])
+        totals = coeff @ kernel_rows[-1]
+        worst = float(np.max(np.abs(totals - 1.0)))
+        if worst > 1e-3:
+            raise GridError(
+                f"grid integral off by {worst:.3e}; widen or refine the sampling grid"
+            )
+        # search for the unnormalized crossing cdf(x) = u * total instead of
+        # dividing every row through by its total
+        u = xs[rows] * totals
+        lo_i = np.zeros(len(u), dtype=np.intp)
+        hi_i = np.full(len(u), g - 1, dtype=np.intp)
+        while True:
+            narrow = (hi_i - lo_i) > 1
+            if not narrow.any():
+                break
+            mid = (lo_i + hi_i) >> 1
+            right = _row_cdf_at(coeff, kernel_rows, mid) < u
+            lo_i = np.where(narrow & right, mid, lo_i)
+            hi_i = np.where(narrow & ~right, mid, hi_i)
+        lo_c = _row_cdf_at(coeff, kernel_rows, lo_i)
+        hi_c = _row_cdf_at(coeff, kernel_rows, hi_i)
+        xs[rows] = _interp_inverse(lo_c, hi_c, xgrid[lo_i], xgrid[hi_i], u)
     return QuadratureDataset(thetas, xs, eta_assumed=eta)
 
 

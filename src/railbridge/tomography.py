@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping
 import numpy as np
 
 from .fock import DensityMatrix, ModeRegister, density_to_json_dict, loss_channel
-from .homodyne import QuadratureDataset, hermite_functions
+from .homodyne import QuadratureDataset, _blocks, hermite_functions
 from .protocol import INPUT_STATES
 
 _P_FLOOR = 1e-300
@@ -191,11 +191,12 @@ def _likelihood(datasets, settings: np.ndarray, opts: ReconstructionOptions) -> 
     The rows are the packed bare projectors P_j and E is the loss at
     opts.eta_correction.
     """
-    # one dataset at a time keeps the complex (N_s, d, d) projector stack small
+    # one block of samples at a time keeps the complex projector stack small
     feats = np.empty((len(datasets), len(datasets[0]), (opts.cutoff + 1) ** 2))
     for rows, ds in zip(feats, datasets):
-        v = _sample_vectors(ds.theta, ds.x, opts.cutoff)
-        rows[:] = _pack(v[:, :, None] * v[:, None, :].conj())
+        for block in _blocks(len(ds)):
+            v = _sample_vectors(ds.theta[block], ds.x[block], opts.cutoff)
+            rows[block] = _pack(v[:, :, None] * v[:, None, :].conj())
     kraus = loss_channel(opts.eta_correction, opts.cutoff)
     lik = _Likelihood(feats, _measurement_map(settings, kraus))
     # Tr[rho Pi_j] <= Tr Pi_j = p_j(I), so a sample floored at I is floored for every rho

@@ -11,13 +11,17 @@ Nothing in the package calls them. They are:
 * dense operator algebra: the click POVM as explicit matrices, an
   operator lifted from some modes to a whole register, and the partial
   trace, which the engine's weighted contractions are checked against;
+* the single-pass quadrature round trip: the quadrature density at one
+  phase, and the inverse-CDF sampling, CSV writer and fit-row build over
+  a whole dataset at once, which the package's block-by-block stages
+  must reproduce bit for bit;
 * builders for test inputs: a qubit from unnormalized amplitudes and a
   config rendered back to parseable text.
 """
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -28,7 +32,19 @@ from railbridge.fock import (
     ModeRegister,
     NullOutcomeError,
     PureState,
+    loss_channel,
     normalize,
+)
+from railbridge.homodyne import (
+    DEFAULT_GRID,
+    GridError,
+    QuadratureDataset,
+    _cumulative_kernel,
+    _interp_inverse,
+    _phase_coefficients,
+    _row_cdf_at,
+    _single_mode_matrix,
+    hermite_functions,
 )
 from railbridge.protocol import (
     _NEVER_OBSERVED,
@@ -42,6 +58,7 @@ from railbridge.protocol import (
     _herald_rotation,
     apply_bell_circuit,
 )
+from railbridge.tomography import _pack, _sample_vectors
 
 
 def circuit_output(params: SourceParams, cutoff: int) -> PureState:
@@ -196,6 +213,77 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[str]) -> DensityMatrix:
     )
     keep_reg = reg.subset(keep)
     return DensityMatrix(keep_reg, out.reshape(keep_reg.dim, keep_reg.dim))
+
+
+# ---------------------------------------------- quadrature round trip
+
+
+def quadrature_pdf(rho: DensityMatrix, theta: float) -> Callable[[object], object]:
+    """Probability density of X_theta for a single-mode state.
+
+    Returns a callable mapping x (scalar or array) to the density, the
+    kernel expansion that `sample` draws from at this one phase.
+    """
+    m = _single_mode_matrix(rho)
+    d = m.shape[0]
+    weights = _phase_coefficients(m, np.array([theta])).reshape(d, d)
+
+    def pdf(x):
+        arr = np.atleast_1d(np.asarray(x, dtype=float))
+        psi = hermite_functions(d - 1, arr)
+        vals = np.einsum("mx,mn,nx->x", psi, weights, psi)
+        return vals if np.ndim(x) else float(vals[0])
+
+    return pdf
+
+
+def sample_single_pass(
+    rho: DensityMatrix, n_samples: int, eta: float = 1.0, seed=None
+) -> QuadratureDataset:
+    """`homodyne.sample` with every draw inverted in one pass over all N."""
+    matrix = _single_mode_matrix(rho)
+    if eta != 1.0:
+        kraus = loss_channel(eta, rho.register.cutoffs[0])
+        matrix = sum(K @ matrix @ K.conj().T for K in kraus)
+    xgrid = np.linspace(*DEFAULT_GRID)
+    d = matrix.shape[0]
+    cumkernel = _cumulative_kernel(hermite_functions(d - 1, xgrid), xgrid)
+    g = len(xgrid)
+    rng = np.random.default_rng(seed)
+    thetas = rng.uniform(0.0, 2.0 * math.pi, n_samples)
+    coeff = _phase_coefficients(matrix, thetas)
+    kernel_rows = np.ascontiguousarray(cumkernel.T)
+    totals = coeff @ kernel_rows[-1]
+    worst = float(np.max(np.abs(totals - 1.0)))
+    if worst > 1e-3:
+        raise GridError(f"grid integral off by {worst:.3e}")
+    u = rng.random(n_samples) * totals
+    lo_i = np.zeros(n_samples, dtype=np.intp)
+    hi_i = np.full(n_samples, g - 1, dtype=np.intp)
+    while True:
+        narrow = (hi_i - lo_i) > 1
+        if not narrow.any():
+            break
+        mid = (lo_i + hi_i) >> 1
+        right = _row_cdf_at(coeff, kernel_rows, mid) < u
+        lo_i = np.where(narrow & right, mid, lo_i)
+        hi_i = np.where(narrow & ~right, mid, hi_i)
+    lo_c = _row_cdf_at(coeff, kernel_rows, lo_i)
+    hi_c = _row_cdf_at(coeff, kernel_rows, hi_i)
+    xs = _interp_inverse(lo_c, hi_c, xgrid[lo_i], xgrid[hi_i], u)
+    return QuadratureDataset(thetas, xs, eta_assumed=eta)
+
+
+def fit_rows_single_pass(data: QuadratureDataset, cutoff: int) -> np.ndarray:
+    """The packed bare projectors of every sample, (N, (cutoff+1)^2), in one pass."""
+    v = _sample_vectors(data.theta, data.x, cutoff)
+    return _pack(v[:, :, None] * v[:, None, :].conj())
+
+
+def csv_bytes_single_pass(data: QuadratureDataset) -> bytes:
+    """The bytes `QuadratureDataset.write_csv` writes, formatted in one pass."""
+    body = "".join(f"{t!r},{x!r}\n" for t, x in zip(data.theta.tolist(), data.x.tolist()))
+    return ("theta_rad,x\n" + body).encode("utf-8")
 
 
 # ------------------------------------------------------------ test inputs

@@ -20,7 +20,6 @@ from railbridge.fock import DensityMatrix, ModeRegister, PureState, to_density
 from railbridge.homodyne import (
     phase_accuracy_curve,
     phase_estimate,
-    quadrature_pdf,
     sample,
     wrap_phase,
 )
@@ -43,6 +42,8 @@ from railbridge.tomography import (
     maxlik_reconstruct,
     wigner,
 )
+
+from oracles import quadrature_pdf
 
 BENCH = SourceParams()  # gamma1=0.20, gamma23=0.054, eta_d=0.03, exact order
 

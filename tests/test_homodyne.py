@@ -16,10 +16,11 @@ from railbridge.homodyne import (
     hermite_functions,
     phase_accuracy_curve,
     phase_estimate,
-    quadrature_pdf,
     sample,
     wrap_phase,
 )
+
+from oracles import quadrature_pdf
 
 XGRID = np.linspace(*DEFAULT_GRID[:2], DEFAULT_GRID[2])
 
@@ -163,6 +164,10 @@ def test_sample_rejects_bad_grid_and_modes():
         sample(single_mode([0.0] * 20 + [1.0], cutoff=20), 10, seed=0)
     with pytest.raises(ValueError):
         sample(single_mode([1.0]), 0)
+    # numpy would take True as 1 row and reject 2.5 with its own TypeError
+    for count in (True, 2.5):
+        with pytest.raises(ValueError, match="n_samples"):
+            sample(single_mode([1.0]), count)
     reg = ModeRegister(("A", "B"), (1, 1))
     two = DensityMatrix(reg, np.eye(4) / 4)
     with pytest.raises(ValueError):

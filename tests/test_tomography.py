@@ -15,7 +15,7 @@ from railbridge.fock import (
     project_density,
     to_density,
 )
-from railbridge.homodyne import QuadratureDataset, hermite_functions, quadrature_pdf, sample
+from railbridge.homodyne import QuadratureDataset, hermite_functions, sample
 from railbridge.protocol import INPUT_STATES
 from railbridge.tomography import (
     GAP_TOL,
@@ -34,6 +34,8 @@ from railbridge.tomography import (
     result_to_json_dict,
     wigner,
 )
+
+from oracles import quadrature_pdf
 
 
 def single_mode(amps, cutoff=1, label="B"):
