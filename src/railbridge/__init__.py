@@ -21,7 +21,6 @@ from .fock import (
 from .elements import (
     coherent_state,
     half_wave_plate,
-    polarising_bs,
     two_mode_squeezer,
 )
 from .protocol import (

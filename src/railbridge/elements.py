@@ -87,19 +87,6 @@ def half_wave_plate(state: PureState, spatial: str, theta: float) -> PureState:
     return apply_pair_map(state, h, v, hwp_matrix(theta))
 
 
-def polarising_bs(state: PureState, spatial_1: str, spatial_2: str) -> PureState:
-    """Polarising beam splitter: H transmitted, V swapped between the two
-    spatial modes. A pure mode relabeling, hence exactly unitary."""
-    _pol_pair(state, spatial_1)
-    _pol_pair(state, spatial_2)
-    reg = state.register
-    i1 = reg.index(f"{spatial_1}_V")
-    i2 = reg.index(f"{spatial_2}_V")
-    if reg.cutoffs[i1] != reg.cutoffs[i2]:
-        raise ValueError("swapped V modes must share a cutoff")
-    return PureState(reg, np.swapaxes(state.array, i1, i2))
-
-
 def two_mode_squeezer(
     state: PureState, mode_a: str, mode_b: str, gamma: complex
 ) -> PureState:

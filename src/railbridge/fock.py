@@ -164,22 +164,24 @@ def normalize(state: Union[PureState, DensityMatrix]):
 
     Pure states additionally get the global-phase convention: the first
     nonzero amplitude in lexicographic basis order is made real non-negative.
-    Amplitudes at or below ``PRUNE_TOL`` times the norm are set to zero.
+    Amplitudes at or below ``PRUNE_TOL`` times the norm are set to zero, and
+    the first one above it is the phase reference.
     """
     if isinstance(state, DensityMatrix):
         tr = np.trace(state.matrix)
         if abs(tr) < NULL_TOL:
             raise NullOutcomeError("cannot normalize a zero-trace density matrix")
         return DensityMatrix(state.register, state.matrix / tr.real)
-    n = norm(state)
+    a = state.array  # read in memory order: a transposed input costs no copy
+    weight = np.abs(a) ** 2
+    n = math.sqrt(float(np.sum(weight)))
     if n < NULL_TOL:
         raise NullOutcomeError("cannot normalize a zero state")
-    flat = state.array.ravel()
-    mag = np.abs(flat)
-    first = int(np.argmax(mag > PRUNE_TOL))
-    phase = flat[first] / mag[first] if mag[first] > PRUNE_TOL else 1.0
-    out = np.where(mag > PRUNE_TOL * n, flat * (1.0 / (n * phase)), 0.0)
-    return PureState(state.register, out.reshape(state.register.dims))
+    keep = weight > (PRUNE_TOL * n) ** 2
+    first = a[np.unravel_index(np.argmax(keep), a.shape)]
+    out = a * (1.0 / (n * (first / abs(first))))
+    np.copyto(out, 0.0, where=~keep)
+    return PureState(state.register, out)
 
 
 def tensor(a: PureState, b: PureState) -> PureState:

@@ -40,7 +40,6 @@ from .elements import (
     click_probability,
     coherent_state,
     half_wave_plate,
-    polarising_bs,
     populate,
     two_mode_squeezer,
 )
@@ -249,24 +248,6 @@ def _rotation_to_h(axis_h: complex, axis_v: complex) -> np.ndarray:
     )
 
 
-def apply_bell_circuit(state: PureState) -> PureState:
-    """Wave plates, polarising splitter and the two analysis rotations.
-
-    Both beams pass a half-wave plate at pi/8 (H -> (H+V)/sqrt2), meet on
-    the polarising splitter, and each output is analysed at +-45 degrees:
-    the transmitted components end up in A_H and C_H (the counter modes)
-    while A_V and C_V hold the blocked light. A coincidence of the two
-    counters fires only on the symmetric |H V> + |V H> combination of the
-    inputs, at half the rank-1 projector probability.
-    """
-    state = half_wave_plate(state, "A", math.pi / 8.0)
-    state = half_wave_plate(state, "C", math.pi / 8.0)
-    state = polarising_bs(state, "A", "C")
-    state = apply_pair_map(state, "A_H", "A_V", _rotation_to_h(_S, _S))
-    state = apply_pair_map(state, "C_H", "C_V", _rotation_to_h(_S, -_S))
-    return state
-
-
 def bell_project_ideal(state: PureState) -> Tuple[PureState, float]:
     """Rank-1 projection onto (<H|_A <V|_C + <V|_A <H|_C)/sqrt(2).
 
@@ -346,12 +327,39 @@ def _source_pass(params: SourceParams, cutoff: int) -> _SourcePass:
     return _circuit_pass(replace(params, order="exact", eta_d=1.0), cutoff)
 
 
+def _lift(u: np.ndarray, cutoff: int) -> np.ndarray:
+    """The 2x2 mode map ``u`` as a pair tensor on two modes of one cutoff."""
+    return _pair_tensor(tuple(u.ravel().tolist()), cutoff, cutoff)
+
+
+def _circuit_output(params: SourceParams, cutoff: int) -> PureState:
+    """S: the normalized Bell-circuit output, built from the circuit's two sources.
+
+    The pi/8 plates act within the Bell pair P on (A_H, A_V, D_H, D_V) and the
+    resource W on (C_H, C_V, B), and the splitter only swaps A_V and C_V, so
+    each analyser pairs a mode of P with one of W and S is one matrix product
+    over (n_A_H, n_C_H): S[p,q,h,v,r,s,b] = sum_(a,c) U[p,q,b,a,c] V[a,c,r,s,h,v],
+    U = sum_i T_A[p,q,a,i] W[c,i,b] and V = sum_j T_C[r,s,c,j] P[a,j,h,v].
+    """
+    n = cutoff + 1
+    pair = half_wave_plate(build_bell_pair(params, cutoff), "A", math.pi / 8.0).array
+    omega = half_wave_plate(build_resource_omega(params, cutoff), "C", math.pi / 8.0).array
+    t_a, t_c = _lift(_rotation_to_h(_S, _S), cutoff), _lift(_rotation_to_h(_S, -_S), cutoff)
+    # U and V as (p,q,b) x (a,c) and (a,c) x (r,s,h,v) matrices
+    u = np.tensordot(t_a, omega, ([3], [1])).transpose(0, 1, 4, 2, 3).reshape(n**3, -1)
+    v = np.tensordot(pair, t_c, ([1], [3])).transpose(0, 5, 3, 4, 1, 2).reshape(n**2, -1)
+    reg = ModeRegister.uniform(("A_H", "A_V", "D_H", "D_V", "C_H", "C_V", "B"), cutoff)
+    # u @ v has axes (A_H, A_V, B, C_H, C_V, D_H, D_V); view it in register order
+    s = (u @ v).reshape((n,) * 7).transpose(0, 1, 5, 6, 3, 4, 2)
+    return normalize(PureState(reg, s))
+
+
 @functools.lru_cache(maxsize=1)
 def _circuit_pass(params: SourceParams, cutoff: int) -> _SourcePass:
     # callers go through the inputs of one point in a row (six teleports, six
     # click distributions, one swap), so one slot serves them all; more would
     # only hold more memory
-    s = normalize(apply_bell_circuit(_circuit_input(params, cutoff)))
+    s = _circuit_output(params, cutoff)
     s.array.flags.writeable = False
     x = _bell_major(s)
     tau = np.matmul(x.swapaxes(-1, -2), x.conj())
@@ -370,12 +378,13 @@ def _swap_density(params: SourceParams, cutoff: int) -> np.ndarray:
     that depends on ``params.eta_d``; a one-slot cache serves the six
     teleports and the swap of one point and efficiency.
     """
-    x = _bell_major(_source_pass(params, cutoff).s)
+    # click_probability(0) is 0: only n_A_H, n_C_H >= 1 weigh in
+    x = _bell_major(_source_pass(params, cutoff).s)[1:, 1:]
     n, nd = cutoff + 1, (cutoff + 1) ** 2
-    click = click_probability(np.arange(n), params.eta_d)
-    rows = (x * np.multiply.outer(click, click)[:, :, None, None]).reshape(n**4, n * nd)
+    click = click_probability(np.arange(1, n), params.eta_d)
+    rows = (x * np.multiply.outer(click, click)[:, :, None, None]).reshape(-1, n * nd)
     # rows @ conj rows runs over (B, D) on both sides; reorder to (D, B)
-    sigma = (rows.T @ x.conj().reshape(n**4, n * nd)).reshape(n, nd, n, nd)
+    sigma = (rows.T @ x.conj().reshape(-1, n * nd)).reshape(n, nd, n, nd)
     sigma = sigma.transpose(1, 0, 3, 2).reshape(nd * n, nd * n)
     sigma.flags.writeable = False
     return sigma
@@ -408,8 +417,7 @@ def _rotated_diagonal(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
 
 def _herald_unitary(chi: QubitSpec, cutoff: int) -> np.ndarray:
     """U: the herald rotation lifted to the truncated, flattened (D_H, D_V)."""
-    flat = tuple(_herald_rotation(chi).ravel().tolist())
-    return _pair_tensor(flat, cutoff, cutoff).reshape((cutoff + 1) ** 2, -1)
+    return _lift(_herald_rotation(chi), cutoff).reshape((cutoff + 1) ** 2, -1)
 
 
 def _herald_view(

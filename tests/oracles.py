@@ -6,8 +6,9 @@ Nothing in the package calls them. They are:
   a source point off one shared pass through the Bell circuit
   (`protocol._source_pass`), and these functions are the route it
   replaced, which rotates the herald's D analysis on the circuit input,
-  runs the circuit for that one input (`predetection_state`) and
-  conditions the result on the counters' clicks mode by mode;
+  runs the full-tensor circuit for that one input (`apply_bell_circuit`,
+  `predetection_state`) and conditions the result on the counters' clicks
+  mode by mode;
 * dense operator algebra: the click POVM as explicit matrices, an
   operator lifted from some modes to a whole register, and the partial
   trace, which the engine's weighted contractions are checked against;
@@ -26,7 +27,7 @@ from typing import Callable, Sequence, Tuple
 import numpy as np
 
 from railbridge.config import Config
-from railbridge.elements import apply_pair_map
+from railbridge.elements import _pol_pair, apply_pair_map, half_wave_plate
 from railbridge.fock import (
     DensityMatrix,
     ModeRegister,
@@ -48,6 +49,7 @@ from railbridge.homodyne import (
 )
 from railbridge.protocol import (
     _NEVER_OBSERVED,
+    _S,
     BELL_CLICK_MODES,
     COUNTER_MODES,
     QubitSpec,
@@ -56,9 +58,50 @@ from railbridge.protocol import (
     _circuit_input,
     _click_weights,
     _herald_rotation,
-    apply_bell_circuit,
+    _rotation_to_h,
 )
 from railbridge.tomography import _pack, _sample_vectors
+
+
+def polarising_bs(state: PureState, spatial_1: str, spatial_2: str) -> PureState:
+    """Polarising beam splitter: H transmitted, V swapped between the two
+    spatial modes. A pure mode relabeling, hence exactly unitary.
+
+    Moved here from `railbridge.elements`, beside the full-tensor circuit
+    that uses it: the package's circuit output applies the swap as an index
+    relabelling of its two sources.
+    """
+    _pol_pair(state, spatial_1)
+    _pol_pair(state, spatial_2)
+    reg = state.register
+    i1 = reg.index(f"{spatial_1}_V")
+    i2 = reg.index(f"{spatial_2}_V")
+    if reg.cutoffs[i1] != reg.cutoffs[i2]:
+        raise ValueError("swapped V modes must share a cutoff")
+    return PureState(reg, np.swapaxes(state.array, i1, i2))
+
+
+def apply_bell_circuit(state: PureState) -> PureState:
+    """Wave plates, polarising splitter and the two analysis rotations.
+
+    Both beams pass a half-wave plate at pi/8 (H -> (H+V)/sqrt2), meet on
+    the polarising splitter, and each output is analysed at +-45 degrees:
+    the transmitted components end up in A_H and C_H (the counter modes)
+    while A_V and C_V hold the blocked light. A coincidence of the two
+    counters fires only on the symmetric |H V> + |V H> combination of the
+    inputs, at half the rank-1 projector probability.
+
+    This is the general circuit on any register holding the A and C modes,
+    moved here from `railbridge.protocol`: the package builds its output S
+    from the two sources' factors (`protocol._circuit_output`), and this
+    full-tensor route is the reference S is checked against.
+    """
+    state = half_wave_plate(state, "A", math.pi / 8.0)
+    state = half_wave_plate(state, "C", math.pi / 8.0)
+    state = polarising_bs(state, "A", "C")
+    state = apply_pair_map(state, "A_H", "A_V", _rotation_to_h(_S, _S))
+    state = apply_pair_map(state, "C_H", "C_V", _rotation_to_h(_S, -_S))
+    return state
 
 
 def circuit_output(params: SourceParams, cutoff: int) -> PureState:

@@ -20,11 +20,10 @@ from railbridge.elements import (
     coherent_state,
     half_wave_plate,
     hwp_matrix,
-    polarising_bs,
     two_mode_squeezer,
 )
 
-from oracles import spcm_povm
+from oracles import polarising_bs, spcm_povm
 
 SQ2 = math.sqrt(2.0)
 

@@ -99,6 +99,32 @@ def test_normalize_prunes_tiny_entries():
     assert normalize(psi).array[2] == 0.0
 
 
+def test_normalize_takes_the_phase_from_the_first_kept_amplitude():
+    # 5e-15 is below PRUNE_TOL but far above PRUNE_TOL times the norm, so it
+    # is kept and must be the real, non-negative reference
+    reg = ModeRegister(("a",), (1,))
+    out = normalize(PureState(reg, np.array([5e-15, 1e-3j]))).array
+    assert out[0].real > 0.0 and abs(out[0].imag) < 1e-15 * abs(out[0])
+    assert abs(out[1] - 1j) < 1e-12
+
+
+def test_normalize_reads_a_transposed_state_like_its_contiguous_copy():
+    rng = np.random.default_rng(5)
+    reg = ModeRegister(("a", "b", "c"), (2, 3, 1))
+    view = (rng.normal(size=(2, 4, 3)) + 1j * rng.normal(size=(2, 4, 3))).transpose(2, 1, 0)
+    # a zero first row, an entry to prune and a reference past index 0
+    view[0, 0] = 0.0
+    view[0, 1, 0] = 1e-17
+    assert not view.flags.c_contiguous
+    out = normalize(PureState(reg, view)).array
+    ref = normalize(PureState(reg, np.ascontiguousarray(view))).array
+    assert out.shape == reg.dims
+    np.testing.assert_array_equal(out == 0.0, ref == 0.0)
+    assert out[0, 1, 0] == 0.0
+    assert out[0, 1, 1].real > 0.0 and abs(out[0, 1, 1].imag) < 1e-15
+    np.testing.assert_allclose(out, ref, rtol=0, atol=1e-15)
+
+
 def test_normalize_zero_state_raises():
     reg = ModeRegister.uniform(["a"], 1)
     with pytest.raises(NullOutcomeError):

@@ -93,6 +93,29 @@ def test_one_pass_matches_per_input_route(cutoff):
         assert_swap_matches_reference(params, cutoff)
 
 
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5])
+def test_factored_circuit_output_matches_the_full_tensor_circuit(cutoff):
+    rng = np.random.default_rng(1200 + cutoff)
+    for _ in range(2 if cutoff < 5 else 1):
+        params = random_point(rng)
+        s = _source_pass(params, cutoff).s
+        ref = oracles.circuit_output(params, cutoff)
+        assert s.register == ref.register
+        assert np.max(np.abs(s.array - ref.array)) <= TOL
+
+
+@pytest.mark.parametrize("eta_d", [0.03, 1.0])
+@pytest.mark.parametrize("cutoff", [2, 4])
+def test_swap_density_matches_the_sum_over_every_counter_row(cutoff, eta_d):
+    # the reference weighs every (n_A_H, n_C_H) block, the no-click ones too
+    params = replace(random_point(np.random.default_rng(1300 + cutoff)), eta_d=eta_d)
+    rho_ref, p_ref = oracles.condition_on_clicks(
+        _source_pass(params, cutoff).s, BELL_CLICK_MODES, eta_d, keep=("D_H", "D_V", "B")
+    )
+    sigma = _swap_density(params, cutoff)
+    assert np.max(np.abs(sigma - p_ref * rho_ref.matrix)) <= TOL * p_ref
+
+
 def test_one_pass_divides_by_the_weight_the_rotation_drops():
     # a strong pair source puts up to 2c photons in D; the diagonal herald
     # rotation cannot hold those within the cutoff and drops their weight
@@ -124,13 +147,13 @@ def test_interleaved_points_never_read_a_stale_pass(cutoff):
 
 def test_one_engine_sweep_op_runs_the_circuit_once_per_cutoff(monkeypatch):
     runs = []
-    circuit = protocol.apply_bell_circuit
+    circuit = protocol._circuit_output
 
-    def counted(state):
-        runs.append(state.register.cutoffs[0])
-        return circuit(state)
+    def counted(params, cutoff):
+        runs.append(cutoff)
+        return circuit(params, cutoff)
 
-    monkeypatch.setattr(protocol, "apply_bell_circuit", counted)
+    monkeypatch.setattr(protocol, "_circuit_output", counted)
     # a point no other test uses, so no earlier pass is cached for it
     params = SourceParams(gamma1=0.213, gamma23=0.0517, eta_d=0.0291)
     for cutoff in (2, 3, 4):
@@ -147,13 +170,13 @@ def test_one_engine_sweep_op_runs_the_circuit_once_per_cutoff(monkeypatch):
 
 def test_pert_teleport_and_swap_never_run_the_circuit(monkeypatch):
     runs = []
-    circuit = protocol.apply_bell_circuit
+    circuit = protocol._circuit_output
 
-    def counted(state):
-        runs.append(state.register.cutoffs[0])
-        return circuit(state)
+    def counted(params, cutoff):
+        runs.append(cutoff)
+        return circuit(params, cutoff)
 
-    monkeypatch.setattr(protocol, "apply_bell_circuit", counted)
+    monkeypatch.setattr(protocol, "_circuit_output", counted)
     # a point no other test uses, so a run would not hide behind a cached pass
     params = SourceParams(gamma1=0.187, gamma23=0.0493, order="pert")
     for cutoff in (1, 2, 3):
