@@ -656,13 +656,14 @@ def counter_marginal(
     """Joint photon-number distribution of the three counter modes.
 
     Axes follow COUNTER_MODES; every other mode is summed out. Reads
-    diag(U tau U^dag) / Tr[U^dag U rho_D] off the shared source pass, at
-    exact order whatever ``params.order`` says.
+    diag(U tau U^dag) off the shared source pass, at exact order whatever
+    ``params.order`` says, and divides by its sum, the rotated norm
+    Tr[U^dag U rho_D] of `_herald_view`.
     """
-    src, u, rotated_norm = _herald_view(chi, params, cutoff)
     n = cutoff + 1
-    per_d = _rotated_diagonal(u, src.tau).reshape(n, n, n, n)
-    return per_d.sum(axis=-1) / rotated_norm
+    u = _herald_unitary(chi, cutoff)
+    per_d = _rotated_diagonal(u, _source_pass(params, cutoff).tau).reshape(n, n, n, n)
+    return per_d.sum(axis=-1) / per_d.sum()
 
 
 def pattern_probabilities(

@@ -17,8 +17,10 @@ step; the momentum restarts from the last accepted iterate whenever the
 likelihood drops. Since L is concave, gap = N (lambda_max(R(rho)) - 1)
 bounds L* - L(rho) from above (Glancy, Knill & Girard, NJP 14, 095017,
 2012); the fit is converged once gap < GAP_TOL and no sample probability
-sits at the floor, checked at every accepted iterate. A floored sample
-leaves Tr[rho R] < 1, and then the gap bounds nothing.
+sits at the floor. The gap of an accepted iterate is computed only where
+it can end the fit: a next step that gains more than GAP_TOL already
+shows it too large. A floored sample leaves Tr[rho R] < 1, and then the
+gap bounds nothing.
 
 Sample j, taken at analyser setting s, has p_sj = Tr[P_j E(<s|rho|s>)],
 with P_j = |v_j><v_j| its bare quadrature projector and E the detector
@@ -48,6 +50,8 @@ from .protocol import INPUT_STATES
 _P_FLOOR = 1e-300
 # certified likelihood gap L* - L, in nats, at which a fit stops
 GAP_TOL = 1e-2
+# float64 spacing at 1, which scales the rounding margin of a skipped certificate
+_EPS = float(np.finfo(float).eps)
 # a momentum point must keep every sample probability above this, or the
 # momentum restarts: its log-likelihood and gradient would not be finite
 _P_MOMENTUM_MIN = 1e-12
@@ -148,11 +152,21 @@ def _measurement_map(settings: np.ndarray, kraus) -> np.ndarray:
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of w onto the probability simplex."""
-    u = np.sort(w)[::-1]
-    shift = (np.cumsum(u) - 1.0) / np.arange(1, w.size + 1)
-    k = np.flatnonzero(u > shift)[-1]
-    return np.maximum(w - shift[k], 0.0)
+    """Euclidean projection of the ascending w onto the probability simplex.
+
+    The shift is (sum of the k largest - 1) / k at the last k where the
+    k-th largest exceeds it. For the few eigenvalues of a fit, plain floats
+    cost a fraction of numpy's per-call overhead, and the same sequential
+    sums and divisions give the same bits.
+    """
+    values = w.tolist()
+    total = shift = 0.0
+    for k, u in enumerate(reversed(values), 1):
+        total += u
+        trial = (total - 1.0) / k
+        if u > trial:
+            shift = trial
+    return np.array([v - shift if v > shift else 0.0 for v in values])
 
 
 def _project_density(h: np.ndarray) -> np.ndarray:
@@ -214,18 +228,27 @@ def _likelihood(datasets, settings: np.ndarray, opts: ReconstructionOptions) -> 
 def _run_maxlik(
     lik: _Likelihood, opts: ReconstructionOptions, reg: ModeRegister
 ) -> ReconstructionResult:
-    """Maximise lik over density matrices by accelerated projected gradient."""
+    """Maximise lik over density matrices by accelerated projected gradient.
+
+    An accepted iterate x is certified lazily: the next step comes first.
+    L is concave, so gap(x) >= L* - L(x) >= L(x_new) - L(x); a step that
+    gains more than GAP_TOL, beyond the rounding of the sums on either
+    side, shows that x cannot stop, and its gap is never computed. Otherwise
+    the gap is computed, and if x passes, the step is dropped with the
+    rejections it counted. A momentum restart needs the gradient at x
+    anyway, and a floored x never stops.
+    """
     x = _pack(np.eye(lik.dim) / lik.dim)
     p = lik.probs(x)
     loglik = float(np.log(p).sum())
-    grad = lik.gradient(p)
-    gap = lik.gap(grad)
+    grad, gap = None, math.inf  # grad is None while x is uncertified
     trace = [loglik]
     x_prev, p_prev = x, p
     theta, step = 1.0, _STEP_INIT
     rejected = 0
     iterations = 0
-    while (gap >= GAP_TOL or p.min() <= _P_FLOOR) and iterations < opts.max_iter:
+    while iterations < opts.max_iter:
+        floored = p.min() <= _P_FLOOR
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
         beta = (theta - 1.0) / theta_next
         if beta > 0.0:
@@ -238,7 +261,13 @@ def _run_maxlik(
             loglik_y = float(np.log(p_y).sum())
             grad_y = lik.gradient(p_y)
         else:
+            if grad is None:
+                grad = lik.gradient(p)
+                gap = lik.gap(grad)
+                if gap < GAP_TOL and not floored:
+                    break
             y, loglik_y, grad_y = x, loglik, grad
+        rejected_before = rejected
         while True:
             x_new = _project_density(y + step * grad_y)
             d = x_new - y
@@ -251,6 +280,21 @@ def _run_maxlik(
             step *= 0.5
             if step < _STEP_MIN:
                 break
+        if grad is None and not floored:
+            gain = loglik_new - loglik
+            if gain > GAP_TOL:
+                # each side is a sum of N terms, rounded by at most N eps times
+                # the sum of their sizes: sum |log p| <= -L + 2 N max(0, log max p)
+                # for the two log-likelihoods, and about N for the gap's gradient
+                peak = max(0.0, math.log(max(p.max(), p_new.max())))
+                sizes = 4.0 * lik.n * peak - loglik - loglik_new + lik.n
+                gain -= lik.n * _EPS * sizes
+            if gain <= GAP_TOL:
+                grad = lik.gradient(p)
+                gap = lik.gap(grad)
+                if gap < GAP_TOL:
+                    rejected = rejected_before  # x stops: drop the step
+                    break
         if loglik_new < loglik:
             if beta > 0.0:
                 theta = 1.0
@@ -263,8 +307,9 @@ def _run_maxlik(
         trace.append(loglik)
         theta = theta_next
         step *= _STEP_GROWTH
-        grad = lik.gradient(p)
-        gap = lik.gap(grad)
+        grad = None
+    if grad is None:
+        gap = lik.gap(lik.gradient(p))
     floored = int(np.count_nonzero(p <= _P_FLOOR))  # p of the accepted rho
     return ReconstructionResult(
         DensityMatrix(reg, _unpack(x)), iterations, trace,

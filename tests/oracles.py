@@ -16,6 +16,9 @@ Nothing in the package calls them. They are:
   phase, and the inverse-CDF sampling, CSV writer and fit-row build over
   a whole dataset at once, which the package's block-by-block stages
   must reproduce bit for bit;
+* the eager fit loop, which certifies every accepted iterate, and the
+  simplex projection in numpy calls: the lazily certified loop and the
+  plain-float projection must reproduce them bit for bit;
 * builders for test inputs: a qubit from unnormalized amplitudes and a
   config rendered back to parseable text.
 """
@@ -60,7 +63,21 @@ from railbridge.protocol import (
     _herald_rotation,
     _rotation_to_h,
 )
-from railbridge.tomography import _pack, _sample_vectors
+from railbridge.tomography import (
+    _P_FLOOR,
+    _P_MOMENTUM_MIN,
+    _STEP_GROWTH,
+    _STEP_INIT,
+    _STEP_MIN,
+    GAP_TOL,
+    ReconstructionOptions,
+    ReconstructionResult,
+    _Likelihood,
+    _pack,
+    _project_density,
+    _sample_vectors,
+    _unpack,
+)
 
 
 def polarising_bs(state: PureState, spatial_1: str, spatial_2: str) -> PureState:
@@ -327,6 +344,78 @@ def csv_bytes_single_pass(data: QuadratureDataset) -> bytes:
     """The bytes `QuadratureDataset.write_csv` writes, formatted in one pass."""
     body = "".join(f"{t!r},{x!r}\n" for t, x in zip(data.theta.tolist(), data.x.tolist()))
     return ("theta_rad,x\n" + body).encode("utf-8")
+
+
+# ------------------------------------------------------------ the fit loop
+
+
+def run_maxlik(
+    lik: _Likelihood, opts: ReconstructionOptions, reg: ModeRegister
+) -> ReconstructionResult:
+    """Maximise lik over density matrices by accelerated projected gradient."""
+    x = _pack(np.eye(lik.dim) / lik.dim)
+    p = lik.probs(x)
+    loglik = float(np.log(p).sum())
+    grad = lik.gradient(p)
+    gap = lik.gap(grad)
+    trace = [loglik]
+    x_prev, p_prev = x, p
+    theta, step = 1.0, _STEP_INIT
+    rejected = 0
+    iterations = 0
+    while (gap >= GAP_TOL or p.min() <= _P_FLOOR) and iterations < opts.max_iter:
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta * theta))
+        beta = (theta - 1.0) / theta_next
+        if beta > 0.0:
+            # p is linear in rho, so the momentum point costs no data pass
+            p_y = p + beta * (p - p_prev)
+            if p_y.min() <= _P_MOMENTUM_MIN:
+                theta = 1.0  # restart the momentum from the last accepted iterate
+                continue
+            y = x + beta * (x - x_prev)
+            loglik_y = float(np.log(p_y).sum())
+            grad_y = lik.gradient(p_y)
+        else:
+            y, loglik_y, grad_y = x, loglik, grad
+        while True:
+            x_new = _project_density(y + step * grad_y)
+            d = x_new - y
+            p_new = lik.probs(x_new)
+            loglik_new = float(np.log(p_new).sum())
+            if loglik_new >= loglik_y + lik.n * (grad_y @ d - (d @ d) / (2.0 * step)):
+                break
+            if loglik_new < loglik:
+                rejected += 1
+            step *= 0.5
+            if step < _STEP_MIN:
+                break
+        if loglik_new < loglik:
+            if beta > 0.0:
+                theta = 1.0
+                continue
+            break  # no ascent step left at machine precision
+        iterations += 1
+        x_prev, x = x, x_new
+        p_prev, p = p, p_new
+        loglik = loglik_new
+        trace.append(loglik)
+        theta = theta_next
+        step *= _STEP_GROWTH
+        grad = lik.gradient(p)
+        gap = lik.gap(grad)
+    floored = int(np.count_nonzero(p <= _P_FLOOR))  # p of the accepted rho
+    return ReconstructionResult(
+        DensityMatrix(reg, _unpack(x)), iterations, trace,
+        gap < GAP_TOL and not floored, opts.eta_correction, floored, rejected, gap,
+    )
+
+
+def project_simplex(w: np.ndarray) -> np.ndarray:
+    """Euclidean projection of w onto the probability simplex."""
+    u = np.sort(w)[::-1]
+    shift = (np.cumsum(u) - 1.0) / np.arange(1, w.size + 1)
+    k = np.flatnonzero(u > shift)[-1]
+    return np.maximum(w - shift[k], 0.0)
 
 
 # ------------------------------------------------------------ test inputs
