@@ -5,7 +5,8 @@ sampling of the exact quadrature distribution of a truncated density
 matrix on a fixed grid (one bisection per draw against that draw's own
 phase), CSV import/export, and phase estimation from the angle
 dependence of the windowed mean quadrature. A dataset is two float
-arrays, the phases and the quadrature values. Sampling and CSV writing
+arrays, the phases and the quadrature values. The grid's CDF table is
+built once per process for each number of levels. Sampling and CSV writing
 work through a dataset in blocks of _BLOCK_ROWS rows, and reading packs
 the values as it parses, so beyond the dataset itself they hold one
 block's temporaries at most.
@@ -20,6 +21,7 @@ phase e^{i n theta}, so
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from array import array
@@ -173,6 +175,20 @@ def _cumulative_kernel(psi: np.ndarray, xgrid: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros((d * d, 1)), np.cumsum(steps, axis=1)), axis=1)
 
 
+@functools.lru_cache(maxsize=4)
+def _sampler_table(d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """DEFAULT_GRID and its CDF table, one row (d^2,) per grid point, for d levels.
+
+    Every draw from a d-level state inverts against the same table, so it
+    is built once per d; both arrays are read-only because draws share them.
+    """
+    xgrid = np.linspace(*DEFAULT_GRID)
+    rows = np.ascontiguousarray(_cumulative_kernel(hermite_functions(d - 1, xgrid), xgrid).T)
+    xgrid.flags.writeable = False
+    rows.flags.writeable = False
+    return xgrid, rows
+
+
 def _row_cdf_at(coeff: np.ndarray, kernel_rows: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """CDF of each sample's own distribution at its grid index."""
     return np.einsum("nd,nd->n", coeff, kernel_rows[idx])
@@ -206,10 +222,7 @@ def sample(
     if eta != 1.0:
         kraus = loss_channel(eta, rho.register.cutoffs[0])
         matrix = sum(K @ matrix @ K.conj().T for K in kraus)
-    xgrid = np.linspace(*DEFAULT_GRID)
-    d = matrix.shape[0]
-    cumkernel = _cumulative_kernel(hermite_functions(d - 1, xgrid), xgrid)
-    kernel_rows = np.ascontiguousarray(cumkernel.T)
+    xgrid, kernel_rows = _sampler_table(matrix.shape[0])
     g = len(xgrid)
 
     rng = np.random.default_rng(seed)

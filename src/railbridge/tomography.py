@@ -19,7 +19,9 @@ bounds L* - L(rho) from above (Glancy, Knill & Girard, NJP 14, 095017,
 2012); the fit is converged once gap < GAP_TOL and no sample probability
 sits at the floor. The gap of an accepted iterate is computed only where
 it can end the fit: a next step that gains more than GAP_TOL already
-shows it too large. A floored sample leaves Tr[rho R] < 1, and then the
+shows it too large, and so does the cheaper bound N (v^dagger R v - 1) for
+the top eigenvector v of R at the last gap that did not stop, which needs
+no pass over the data. A floored sample leaves Tr[rho R] < 1, and then the
 gap bounds nothing.
 
 Sample j, taken at analyser setting s, has p_sj = Tr[P_j E(<s|rho|s>)],
@@ -37,9 +39,10 @@ the cutoff and would void the gap, so both fits reject it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -138,17 +141,27 @@ def _unpack(h: np.ndarray) -> np.ndarray:
     return (t + t_t) / 2.0 + 1j * ((t - t_t) / 2.0)
 
 
-def _measurement_map(settings: np.ndarray, kraus) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _measurement_map(
+    settings: Tuple[Tuple[complex, ...], ...], eta: float, cutoff: int
+) -> np.ndarray:
     """Real map (S d^2, D^2) from packed rho to packed E(<s|rho|s>) of every setting s.
 
-    Settings are unit rows on the analysed factor and E has d x d Kraus
-    matrices; column k is the image of the k-th packed coordinate.
+    Settings are unit rows on the analysed factor, as nested tuples, and E
+    is the loss at efficiency eta on d = cutoff + 1 levels; column k is the
+    image of the k-th packed coordinate. A pipeline fits the same few
+    (settings, eta, cutoff) again and again, so maps are cached; each is
+    read-only because fits share it.
     """
+    settings = np.array(settings)
+    kraus = loss_channel(eta, cutoff)
     n, d = settings.shape[1], kraus[0].shape[0]
     basis = _unpack(np.eye((n * d) ** 2)).reshape(-1, n, d, n, d)
     seen = np.einsum("sa,kambn,sb->ksmn", settings.conj(), basis, settings)
     lossy = sum(K @ seen @ K.conj().T for K in kraus)
-    return _pack(lossy).reshape(len(basis), -1).T
+    m = _pack(lossy).reshape(len(basis), -1).T
+    m.flags.writeable = False
+    return m
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
@@ -184,9 +197,13 @@ class _Likelihood:
         self.n = feats.shape[0] * feats.shape[1]
         self.dim = math.isqrt(to_setting.shape[1])
 
+    def _born(self, x: np.ndarray) -> np.ndarray:
+        """Tr[Pi_j X] (S, N_s, 1) of the packed Hermitian x, one pass over the rows."""
+        return self.feats @ (self.to_setting @ x).reshape(len(self.feats), -1, 1)
+
     def probs(self, x: np.ndarray) -> np.ndarray:
         """Born probabilities p (S, N_s, 1) of packed rho x, floored at _P_FLOOR."""
-        p = self.feats @ (self.to_setting @ x).reshape(len(self.feats), -1, 1)
+        p = self._born(x)
         return np.maximum(p, _P_FLOOR, out=p)
 
     def gradient(self, p: np.ndarray) -> np.ndarray:
@@ -197,6 +214,27 @@ class _Likelihood:
         """N (lambda_max(R) - 1) >= L* - L; zero only up to rounding at the optimum."""
         lam = float(np.linalg.eigvalsh(_unpack(grad))[-1])
         return max(0.0, self.n * (lam - 1.0))
+
+    def top_weights(self, grad: np.ndarray) -> np.ndarray:
+        """Weights c_j = Tr[Pi_j v v^dagger] (S, N_s, 1) of the top unit eigenvector v of R."""
+        v = np.linalg.eigh(_unpack(grad))[1][:, -1]
+        return self._born(_pack(np.outer(v, v.conj())))
+
+    def screen(self, weights: np.ndarray, p: np.ndarray) -> bool:
+        """Whether the weights of a unit vector v show gap >= GAP_TOL at unfloored p.
+
+        For every unit v, gap = N (lambda_max(R) - 1) >= N (v^dagger R v - 1)
+        = sum_j c_j / p_j - N = low, with no pass over the rows. R and low
+        read the same computed p, so a wrong answer needs the rounding of
+        low and of the gap the loop would compute to exceed the margin
+        N eps (low + 3 N), each N-term sum rounded by at most N eps times
+        the sum of its terms' sizes: low + N for the nonnegative c_j / p_j,
+        N for the gradient's sums behind a gap below GAP_TOL (their terms
+        add to N lambda_max < N + GAP_TOL), and N for the rounding of c and
+        of v's unit norm.
+        """
+        low = float((weights / p).sum()) - self.n
+        return low - self.n * _EPS * (low + 3.0 * self.n) > GAP_TOL
 
 
 def _likelihood(datasets, settings: np.ndarray, opts: ReconstructionOptions) -> _Likelihood:
@@ -211,8 +249,8 @@ def _likelihood(datasets, settings: np.ndarray, opts: ReconstructionOptions) -> 
         for block in _blocks(len(ds)):
             v = _sample_vectors(ds.theta[block], ds.x[block], opts.cutoff)
             rows[block] = _pack(v[:, :, None] * v[:, None, :].conj())
-    kraus = loss_channel(opts.eta_correction, opts.cutoff)
-    lik = _Likelihood(feats, _measurement_map(settings, kraus))
+    key = tuple(map(tuple, settings.tolist()))
+    lik = _Likelihood(feats, _measurement_map(key, opts.eta_correction, opts.cutoff))
     # Tr[rho Pi_j] <= Tr Pi_j = p_j(I), so a sample floored at I is floored for every rho
     dead = int(np.count_nonzero(lik.probs(_pack(np.eye(lik.dim))) <= _P_FLOOR))
     if dead:
@@ -237,11 +275,20 @@ def _run_maxlik(
     the gap is computed, and if x passes, the step is dropped with the
     rejections it counted. A momentum restart needs the gradient at x
     anyway, and a floored x never stops.
+
+    Before that gap, a screen tries the top eigenvector v of R at the last
+    such gap that did not stop: v's weights c bound gap(x) from below at the
+    cost of one divide and sum over the samples, and a bound above GAP_TOL
+    skips the certificate. A gap that is computed there and does not stop
+    the fit refreshes v and c (one eigh and one pass over the rows). The gap
+    of a momentum restart does not refresh them: on pipeline fits that cost
+    more refresh passes than it saved gradient passes.
     """
     x = _pack(np.eye(lik.dim) / lik.dim)
     p = lik.probs(x)
     loglik = float(np.log(p).sum())
     grad, gap = None, math.inf  # grad is None while x is uncertified
+    top = None  # the screen's weights c, None until a lazily computed gap does not stop
     trace = [loglik]
     x_prev, p_prev = x, p
     theta, step = 1.0, _STEP_INIT
@@ -289,12 +336,13 @@ def _run_maxlik(
                 peak = max(0.0, math.log(max(p.max(), p_new.max())))
                 sizes = 4.0 * lik.n * peak - loglik - loglik_new + lik.n
                 gain -= lik.n * _EPS * sizes
-            if gain <= GAP_TOL:
+            if gain <= GAP_TOL and (top is None or not lik.screen(top, p)):
                 grad = lik.gradient(p)
                 gap = lik.gap(grad)
                 if gap < GAP_TOL:
                     rejected = rejected_before  # x stops: drop the step
                     break
+                top = lik.top_weights(grad)
         if loglik_new < loglik:
             if beta > 0.0:
                 theta = 1.0
