@@ -7,8 +7,9 @@ CSV/JSON bytes. `COMMANDS` lists those keys; a command takes flags for
 them and no others, and each directory gets exactly one manifest recording
 them and the files written. All JSON artifacts name and validate against
 a schema shipped with the package.
-Everything runs on the calling thread; `pipeline` handles its six
-teleport inputs one after another.
+Everything runs on the calling thread. `pipeline` computes its report and
+datasets first, in `pipeline_report`, which writes nothing, and then
+writes them.
 
 Failures print a machine-readable error object to stderr and exit nonzero;
 parse errors in config, CSV or JSON inputs carry line information where
@@ -199,20 +200,19 @@ def _table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def _input_table(
-    inputs: Dict[str, dict], keys: Sequence[str], headers: Sequence[str]
-) -> Tuple[Dict[str, float], str]:
-    """Each fidelity key's mean over the inputs, as "average_<key>", and
-    the table of per-input rows (success probability, then the keys) with
-    an avg row."""
-    means = [float(np.mean([row[k] for row in inputs.values()])) for k in keys]
+def _averages(inputs: Dict[str, dict], keys: Sequence[str]) -> Dict[str, float]:
+    """Each fidelity key's mean over the inputs, as "average_<key>"."""
+    return {f"average_{k}": float(np.mean([r[k] for r in inputs.values()])) for k in keys}
+
+
+def _input_table(section: dict, columns: Dict[str, str]) -> str:
+    """A report section's rows and averages, each key of columns under its header."""
     rows = [
-        [name, f"{row['success_probability']:.3e}", *(f"{row[k]:.4f}" for k in keys)]
-        for name, row in inputs.items()
+        [name, f"{row['success_probability']:.3e}", *(f"{row[k]:.4f}" for k in columns)]
+        for name, row in section["inputs"].items()
     ]
-    rows.append(["avg", "", *(f"{m:.4f}" for m in means)])
-    averages = {f"average_{k}": m for k, m in zip(keys, means)}
-    return averages, _table(["input", "p_success", *headers], rows)
+    rows.append(["avg", "", *(f"{section[f'average_{k}']:.4f}" for k in columns)])
+    return _table(["input", "p_success", *columns.values()], rows)
 
 
 # ------------------------------------------------------------- subcommands
@@ -234,17 +234,16 @@ def cmd_simulate(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
             "fidelity": target_overlap(tvec, rho),
             "state_file": fname,
         }
-    averages, text = _input_table(inputs, ("fidelity",), (f"F({config.order})",))
     report = {
         "schema": "simulate-2",
         "order": config.order,
         "cutoff": config.cutoff,
         "inputs": inputs,
-        **averages,
+        **_averages(inputs, ("fidelity",)),
     }
     _write_json(os.path.join(out_dir, "simulate.json"), report)
     outputs.append("simulate.json")
-    return outputs, text
+    return outputs, _input_table(report, {"fidelity": f"F({config.order})"})
 
 
 def cmd_sample(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
@@ -363,75 +362,50 @@ def _fit_pair(
 
 
 def _pipeline_teleport_state(
-    name: str, idx: int, config: Config, out_dir: str
-) -> Tuple[str, dict]:
-    params = to_source_params(config)
-    chi = INPUT_STATES[name]
+    chi, params, config: Config, seed: int
+) -> Tuple[QuadratureDataset, dict]:
+    """Teleport chi, sample the output at seed and fit it: the data and its row."""
     rho, p = teleport(chi, params, cutoff=config.cutoff)
-    dataset = sample(rho, config.samples, eta=config.eta, seed=config.seed + idx)
-    fname = f"samples_{name}.csv"
-    dataset.write_csv(os.path.join(out_dir, fname))
+    dataset = sample(rho, config.samples, eta=config.eta, seed=seed)
     corrected, raw = _fit_pair(maxlik_reconstruct, dataset, config)
-    target = to_density(
-        ideal_teleport_target(chi, params, cutoff=config.tomo_cutoff)
-    )
-    return fname, {
+    target = to_density(ideal_teleport_target(chi, params, cutoff=config.tomo_cutoff))
+    return dataset, {
         "success_probability": p,
         "fidelity_corrected": fidelity(corrected.rho, target),
         "fidelity_uncorrected": fidelity(raw.rho, target),
-        "samples_file": fname,
     }
 
 
-def _pipeline_swap(config: Config, out_dir: str) -> Tuple[List[str], dict]:
+_PIPELINE_COLUMNS = {"fidelity_corrected": "F(corrected)",
+                     "fidelity_uncorrected": "F(uncorrected)"}
+
+
+def pipeline_report(config: Config) -> Tuple[dict, Dict[str, QuadratureDataset]]:
+    """The pipeline-1 report of config and its datasets by CSV name; writes nothing.
+    Teleport input idx samples at seed config.seed + idx and swap setting j at
+    config.seed + len(INPUT_STATES) + j, the one place these seeds are laid out."""
+    if config.seed is None:
+        raise ValueError("pipeline_report needs a seed; config.seed is None")
     params = to_source_params(config)
+    datasets: Dict[str, QuadratureDataset] = {}
+    inputs: Dict[str, dict] = {}
+    for idx, (name, chi) in enumerate(INPUT_STATES.items()):
+        fname = f"samples_{name}.csv"
+        datasets[fname], row = _pipeline_teleport_state(chi, params, config, config.seed + idx)
+        inputs[name] = {**row, "samples_file": fname}
     rho_full, p = swap_entanglement(params, cutoff=config.cutoff)
     sector, weight = swap_qubit_sector(rho_full)
-    datasets: Dict[str, QuadratureDataset] = {}
-    outputs: List[str] = []
     pol = sector.register.subset(["D_pol"])
+    settings: Dict[str, QuadratureDataset] = {}
     # the analysis settings are the six canonical qubit states
     for j, (setting, chi) in enumerate(INPUT_STATES.items()):
-        bra = PureState(pol, {(0,): chi.a, (1,): chi.b})
-        conditioned, _ = project_density(sector, bra)
-        dataset = sample(
-            normalize(conditioned),
-            config.samples,
-            eta=config.eta,
+        conditioned, _ = project_density(sector, PureState(pol, {(0,): chi.a, (1,): chi.b}))
+        settings[setting] = datasets[f"swap_samples_{setting}.csv"] = sample(
+            normalize(conditioned), config.samples, eta=config.eta,
             seed=config.seed + len(INPUT_STATES) + j,
         )
-        fname = f"swap_samples_{setting}.csv"
-        dataset.write_csv(os.path.join(out_dir, fname))
-        outputs.append(fname)
-        datasets[setting] = dataset
-    corrected, raw = _fit_pair(joint_reconstruct_swapped, datasets, config)
+    corrected, raw = _fit_pair(joint_reconstruct_swapped, settings, config)
     target = to_density(ideal_swap_target_qubit(params, cutoff=config.tomo_cutoff))
-    section = {
-        "success_probability": p,
-        "sector_weight": weight,
-        "samples_per_setting": config.samples,
-        "fidelity_corrected": fidelity(corrected.rho, target),
-        "fidelity_uncorrected": fidelity(raw.rho, target),
-        "witness_corrected": entanglement_witness(corrected.rho),
-        "witness_uncorrected": entanglement_witness(raw.rho),
-    }
-    return outputs, section
-
-
-def cmd_pipeline(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
-    outputs: List[str] = []
-    inputs: Dict[str, dict] = {}
-    for idx, name in enumerate(INPUT_STATES):
-        fname, row = _pipeline_teleport_state(name, idx, config, out_dir)
-        outputs.append(fname)
-        inputs[name] = row
-    swap_outputs, swap_section = _pipeline_swap(config, out_dir)
-    outputs.extend(swap_outputs)
-    averages, table = _input_table(
-        inputs,
-        ("fidelity_corrected", "fidelity_uncorrected"),
-        ("F(corrected)", "F(uncorrected)"),
-    )
     report = {
         "schema": "pipeline-1",
         "teleport": {
@@ -439,25 +413,36 @@ def cmd_pipeline(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
             "samples_per_state": config.samples,
             "eta": config.eta,
             "inputs": inputs,
-            **averages,
+            **_averages(inputs, _PIPELINE_COLUMNS),
         },
-        "swap": swap_section,
+        "swap": {
+            "success_probability": p,
+            "sector_weight": weight,
+            "samples_per_setting": config.samples,
+            "fidelity_corrected": fidelity(corrected.rho, target),
+            "fidelity_uncorrected": fidelity(raw.rho, target),
+            "witness_corrected": entanglement_witness(corrected.rho),
+            "witness_uncorrected": entanglement_witness(raw.rho),
+        },
     }
+    return report, datasets
+
+
+def cmd_pipeline(args, config: Config, out_dir: str) -> Tuple[List[str], str]:
+    report, datasets = pipeline_report(config)
+    for fname, dataset in datasets.items():
+        dataset.write_csv(os.path.join(out_dir, fname))
     _write_json(os.path.join(out_dir, "pipeline.json"), report)
-    outputs.append("pipeline.json")
-    wit_c = swap_section["witness_corrected"]["fidelity_to_max_entangled"]
-    wit_u = swap_section["witness_uncorrected"]["fidelity_to_max_entangled"]
-    text = "\n".join(
-        [
-            table,
-            "",
-            f"swap: F(corrected) = {swap_section['fidelity_corrected']:.4f}, "
-            f"F(uncorrected) = {swap_section['fidelity_uncorrected']:.4f}",
-            f"witness overlap: corrected {wit_c:.4f}, uncorrected {wit_u:.4f} "
-            f"(> 0.5 certifies)",
-        ]
+    swap = report["swap"]
+    wit_c = swap["witness_corrected"]["fidelity_to_max_entangled"]
+    wit_u = swap["witness_uncorrected"]["fidelity_to_max_entangled"]
+    text = (
+        _input_table(report["teleport"], _PIPELINE_COLUMNS)
+        + f"\n\nswap: F(corrected) = {swap['fidelity_corrected']:.4f}, "
+        f"F(uncorrected) = {swap['fidelity_uncorrected']:.4f}\n"
+        f"witness overlap: corrected {wit_c:.4f}, uncorrected {wit_u:.4f} (> 0.5 certifies)"
     )
-    return outputs, text
+    return [*datasets, "pipeline.json"], text
 
 
 # ------------------------------------------------------------------ driver

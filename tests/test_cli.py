@@ -640,3 +640,25 @@ def test_pipeline_bytes_do_not_depend_on_blas_threads(tmp_path):
         if name == "manifest.json":
             continue  # carries timestamps
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def test_large_fit_bytes_do_not_depend_on_blas_threads(tmp_path, capsys):
+    # 20,000 rows at cutoff 4 are five row blocks; unblocked, OpenBLAS splits
+    # the fit's 20,000-term sums across two threads
+    sim, data = str(tmp_path / "sim"), str(tmp_path / "data")
+    assert run(capsys, "simulate", "--out", sim)[0] == 0
+    assert run(capsys, "sample", os.path.join(sim, "state_D.json"), "--samples",
+               "20000", "--seed", "3", "--out", data)[0] == 0
+    src = os.path.dirname(os.path.dirname(railbridge.__file__))
+    fits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"fit-{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "railbridge.cli", "reconstruct",
+             os.path.join(data, "samples.csv"), "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        fits.append((out / "reconstruct.json").read_bytes())
+    assert fits[0] == fits[1]
