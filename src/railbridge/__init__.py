@@ -33,7 +33,6 @@ from .protocol import (
     swap_entanglement,
     swap_qubit_sector,
     teleport,
-    teleport_fidelity,
     triple_budget,
 )
 from .homodyne import (

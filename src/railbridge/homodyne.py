@@ -26,7 +26,7 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -312,35 +312,3 @@ def phase_estimate(dataset: QuadratureDataset, window: int = 50) -> PhaseEstimat
         std_error=math.sqrt(max(var_phi, 0.0)),
         n_windows=n_windows,
     )
-
-
-def wrap_phase(delta: float) -> float:
-    """Map a phase difference into (-pi, pi]."""
-    return -((-delta + math.pi) % (2.0 * math.pi) - math.pi)
-
-
-def phase_accuracy_curve(
-    rho: DensityMatrix,
-    true_phi: float,
-    sample_sizes: Sequence[int],
-    window: int = 50,
-    trials: int = 20,
-    seed: int = 0,
-) -> List[Tuple[int, float]]:
-    """RMS phase error versus sample count, as a fraction of 2 pi.
-
-    Each point repeats the draw-and-estimate round trip `trials` times
-    with derived seeds. This is the reported accuracy curve; it identifies
-    the sample rate needed for a target accuracy rather than asserting one.
-    """
-    base = np.random.default_rng(seed)
-    curve: List[Tuple[int, float]] = []
-    for n in sample_sizes:
-        sq = 0.0
-        for _ in range(trials):
-            ds = sample(rho, int(n), seed=int(base.integers(2**63)))
-            est = phase_estimate(ds, window=window)
-            err = wrap_phase(est.phi - true_phi)
-            sq += err * err
-        curve.append((int(n), math.sqrt(sq / trials) / (2.0 * math.pi)))
-    return curve

@@ -287,32 +287,24 @@ def _herald_rotation(chi: QubitSpec) -> np.ndarray:
 class _SourcePass(NamedTuple):
     """Read-only products of one source point's normalized circuit output S.
 
-    s: S itself, a plain `PureState` in register order. tau: the (D_H,
-    D_V) density of each (n_A_H, n_C_H) branch, axes (n_A_H, n_C_H, D, D)
-    with D = (n_D_H, n_D_V) flattened. rho_d: the (D_H, D_V) density of
-    S, the sum of the tau. None of them depends on the detection
-    efficiency.
+    x: S itself, held once as a contiguous array in the layout both
+    reductions read, axes (n_A_H, n_C_H, (n_A_V, n_C_V, n_B), D) with
+    D = (n_D_H, n_D_V) flattened. s: a `PureState` view of x in register
+    order. tau: the D density of each (n_A_H, n_C_H) branch, axes (n_A_H,
+    n_C_H, D, D). None of them depends on the detection efficiency.
     """
 
     s: PureState
+    x: np.ndarray
     tau: np.ndarray
-    rho_d: np.ndarray
 
 
 # the projector counters' modes first, the herald's D modes last
 _BELL_MAJOR = (*BELL_CLICK_MODES, "A_V", "C_V", "B", "D_H", "D_V")
 
 
-def _bell_major(s: PureState) -> np.ndarray:
-    """A contiguous copy of S with axes (n_A_H, n_C_H, (n_A_V, n_C_V, n_B), D)."""
-    reg = s.register
-    n, nd = reg.cutoffs[0] + 1, (reg.cutoffs[0] + 1) ** 2
-    x = np.transpose(s.array, [reg.index(m) for m in _BELL_MAJOR])
-    return np.ascontiguousarray(x).reshape(n, n, -1, nd)
-
-
 def _source_pass(params: SourceParams, cutoff: int) -> _SourcePass:
-    """Run the Bell circuit once per source point and keep S with two reductions.
+    """Run the Bell circuit once per source point and keep S and its τ.
 
     The herald rotation is the only step that depends on the input, and it
     acts on D while the circuit acts on A and C, so the two commute: every
@@ -321,7 +313,8 @@ def _source_pass(params: SourceParams, cutoff: int) -> _SourcePass:
     without it: the Monte-Carlo check at unit efficiency, the swap and
     every teleport at one point share one circuit run, and only σ, the
     click-weighted swap density, is derived per efficiency
-    (`_swap_density`).
+    (`_swap_density`). S is held once, projector-major, and its
+    register-order state is a view of that one array.
     """
     _check_exact_cutoff(cutoff)
     return _circuit_pass(replace(params, order="exact", eta_d=1.0), cutoff)
@@ -360,13 +353,16 @@ def _circuit_pass(params: SourceParams, cutoff: int) -> _SourcePass:
     # click distributions, one swap), so one slot serves them all; more would
     # only hold more memory
     s = _circuit_output(params, cutoff)
-    s.array.flags.writeable = False
-    x = _bell_major(s)
+    reg, n = s.register, cutoff + 1
+    order = [reg.index(m) for m in _BELL_MAJOR]
+    # re-laid out only after normalize, which sums S in its memory order, so
+    # the normalized amplitudes keep their bits
+    x = np.ascontiguousarray(np.transpose(s.array, order)).reshape(n, n, -1, n * n)
+    x.flags.writeable = False
     tau = np.matmul(x.swapaxes(-1, -2), x.conj())
     tau.flags.writeable = False
-    rho_d = tau.sum(axis=(0, 1))
-    rho_d.flags.writeable = False
-    return _SourcePass(s, tau, rho_d)
+    s = PureState(reg, x.reshape((n,) * reg.n_modes).transpose(np.argsort(order)))
+    return _SourcePass(s, x, tau)
 
 
 @functools.lru_cache(maxsize=1)
@@ -376,10 +372,11 @@ def _swap_density(params: SourceParams, cutoff: int) -> np.ndarray:
     A_V and C_V are traced out; σ is the swap's unnormalized output and the
     density every teleport at the point rotates. It is the one reduction
     that depends on ``params.eta_d``; a one-slot cache serves the six
-    teleports and the swap of one point and efficiency.
+    teleports and the swap of one point and efficiency. It reads the
+    source pass's projector-major S in place, with no copy of S.
     """
     # click_probability(0) is 0: only n_A_H, n_C_H >= 1 weigh in
-    x = _bell_major(_source_pass(params, cutoff).s)[1:, 1:]
+    x = _source_pass(params, cutoff).x[1:, 1:]
     n, nd = cutoff + 1, (cutoff + 1) ** 2
     click = click_probability(np.arange(1, n), params.eta_d)
     rows = (x * np.multiply.outer(click, click)[:, :, None, None]).reshape(-1, n * nd)
@@ -420,20 +417,6 @@ def _herald_unitary(chi: QubitSpec, cutoff: int) -> np.ndarray:
     return _lift(_herald_rotation(chi), cutoff).reshape((cutoff + 1) ** 2, -1)
 
 
-def _herald_view(
-    chi: QubitSpec, params: SourceParams, cutoff: int
-) -> Tuple[_SourcePass, np.ndarray, float]:
-    """The point's source pass, the herald rotation U on D and the rotated norm.
-
-    U drops the D components it would lift above the cutoff, so every
-    probability divides by the norm left, Tr[U^dag U rho_D]: the weight
-    `predetection_state` renormalizes away.
-    """
-    src = _source_pass(params, cutoff)
-    u = _herald_unitary(chi, cutoff)
-    return src, u, float(np.sum(_rotated_diagonal(u, src.rho_d)))
-
-
 def _swapped(params: SourceParams, cutoff: int) -> np.ndarray:
     """σ, the swap's unnormalized (D_H, D_V, B) density: p |r><r| from the
     rank-1 projector at perturbative order, `_swap_density` at exact order."""
@@ -459,11 +442,16 @@ def teleport(
     cutoff >= 2.
     """
     n, nd = cutoff + 1, (cutoff + 1) ** 2
+    u = _herald_unitary(chi, cutoff)
     if params.order == "pert":
         # one photon in D_H is entry n of the flattened D; U is exact on σ's D
-        u, rotated_norm, weights = _herald_unitary(chi, cutoff), 1.0, np.eye(nd)[n]
+        rotated_norm, weights = 1.0, np.eye(nd)[n]
     else:
-        _, u, rotated_norm = _herald_view(chi, params, cutoff)
+        # U drops the D components it would lift above the cutoff, so p divides
+        # by the norm left, Tr[U^dag U rho_D]: the weight `predetection_state`
+        # renormalizes away
+        rho_d = _source_pass(params, cutoff).tau.sum(axis=(0, 1))
+        rotated_norm = float(np.sum(_rotated_diagonal(u, rho_d)))
         weights = np.repeat(click_probability(np.arange(n), params.eta_d), n)
     # W on the rotated D_H, as the operator U^dag W U on the unrotated D
     herald = u.conj().T @ (weights[:, None] * u)
@@ -492,17 +480,6 @@ def target_overlap(target: np.ndarray, rho: DensityMatrix) -> float:
     """<t|rho|t> for a unit-norm target vector and a unit-trace rho."""
     # a target reached exactly can round one ulp above 1
     return min(1.0, float(np.real(target.conj() @ rho.matrix @ target)))
-
-
-def teleport_fidelity(
-    chi: QubitSpec,
-    params: SourceParams,
-    cutoff: int = DEFAULT_CUTOFF,
-) -> Tuple[float, float]:
-    """Overlap of the teleported state with its ideal target, plus the rate."""
-    rho, p = teleport(chi, params, cutoff)
-    target = ideal_teleport_target(chi, params, cutoff).dense()
-    return target_overlap(target, rho), p
 
 
 # ------------------------------------------------------- entanglement swap
@@ -658,7 +635,7 @@ def counter_marginal(
     Axes follow COUNTER_MODES; every other mode is summed out. Reads
     diag(U tau U^dag) off the shared source pass, at exact order whatever
     ``params.order`` says, and divides by its sum, the rotated norm
-    Tr[U^dag U rho_D] of `_herald_view`.
+    Tr[U^dag U rho_D] that `teleport` divides by.
     """
     n = cutoff + 1
     u = _herald_unitary(chi, cutoff)

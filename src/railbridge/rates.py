@@ -177,6 +177,12 @@ def circuit_consistency(
     and as a mean so the forward rate can be quoted either way.
     """
     formula = 0.5 * triple_budget(params).p_good
+    if formula == 0.0:
+        raise ValueError(
+            f"the scaling formula's triple probability is 0 at gamma1 = "
+            f"{params.gamma1!r}, gamma23 = {params.gamma23!r}, eta_d = "
+            f"{params.eta_d!r}, so the circuit-to-formula ratio is undefined"
+        )
     per_input = {
         name: click_pattern_distribution(chi, params, cutoff=cutoff)[(1, 1, 1)]
         for name, chi in INPUT_STATES.items()
@@ -186,7 +192,7 @@ def circuit_consistency(
         "per_input": per_input,
         "circuit_probability": mean_circuit,
         "formula_probability": formula,
-        "circuit_to_formula_ratio": mean_circuit / formula if formula else 0.0,
+        "circuit_to_formula_ratio": mean_circuit / formula,
     }
 
 
@@ -272,6 +278,12 @@ def calibration_report(
     R_gamma1, and drives the circuit check; the scaling formula has no
     alpha term.
     """
+    if model.R_gamma1 == 0.0:
+        raise ValueError(
+            "R_gamma1 = 0 gives gamma1 = 0, where the scaling formula's triple "
+            "probability is 0 and the circuit-to-formula ratio has no value; "
+            "set R_gamma1 > 0"
+        )
     eta_d = model.eta_d
     alpha, gamma1, gamma23 = (
         estimate_gamma(R, model.R_L, eta_d, model.projector_loss_factor)

@@ -19,13 +19,15 @@ Nothing in the package calls them. They are:
 * the eager fit loop, which certifies every accepted iterate, and the
   simplex projection in numpy calls: the lazily certified loop and the
   plain-float projection must reproduce them bit for bit;
+* studies and shorthands that only tests report: the teleport fidelity
+  with its rate, and the phase estimate's RMS error against sample count;
 * builders for test inputs: a qubit from unnormalized amplitudes and a
   config rendered back to parseable text.
 """
 
 import math
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,12 +51,15 @@ from railbridge.homodyne import (
     _row_cdf_at,
     _single_mode_matrix,
     hermite_functions,
+    phase_estimate,
+    sample,
 )
 from railbridge.protocol import (
     _NEVER_OBSERVED,
     _S,
     BELL_CLICK_MODES,
     COUNTER_MODES,
+    DEFAULT_CUTOFF,
     QubitSpec,
     SourceParams,
     _check_exact_cutoff,
@@ -62,6 +67,9 @@ from railbridge.protocol import (
     _click_weights,
     _herald_rotation,
     _rotation_to_h,
+    ideal_teleport_target,
+    target_overlap,
+    teleport,
 )
 from railbridge.tomography import (
     _P_FLOOR,
@@ -416,6 +424,52 @@ def project_simplex(w: np.ndarray) -> np.ndarray:
     shift = (np.cumsum(u) - 1.0) / np.arange(1, w.size + 1)
     k = np.flatnonzero(u > shift)[-1]
     return np.maximum(w - shift[k], 0.0)
+
+
+# ------------------------------------------------ test-only studies
+
+
+def teleport_fidelity(
+    chi: QubitSpec,
+    params: SourceParams,
+    cutoff: int = DEFAULT_CUTOFF,
+) -> Tuple[float, float]:
+    """Overlap of the teleported state with its ideal target, plus the rate."""
+    rho, p = teleport(chi, params, cutoff)
+    target = ideal_teleport_target(chi, params, cutoff).dense()
+    return target_overlap(target, rho), p
+
+
+def wrap_phase(delta: float) -> float:
+    """Map a phase difference into (-pi, pi]."""
+    return -((-delta + math.pi) % (2.0 * math.pi) - math.pi)
+
+
+def phase_accuracy_curve(
+    rho: DensityMatrix,
+    true_phi: float,
+    sample_sizes: Sequence[int],
+    window: int = 50,
+    trials: int = 20,
+    seed: int = 0,
+) -> List[Tuple[int, float]]:
+    """RMS phase error versus sample count, as a fraction of 2 pi.
+
+    Each point repeats the draw-and-estimate round trip `trials` times
+    with derived seeds. This is the reported accuracy curve; it identifies
+    the sample rate needed for a target accuracy rather than asserting one.
+    """
+    base = np.random.default_rng(seed)
+    curve: List[Tuple[int, float]] = []
+    for n in sample_sizes:
+        sq = 0.0
+        for _ in range(trials):
+            ds = sample(rho, int(n), seed=int(base.integers(2**63)))
+            est = phase_estimate(ds, window=window)
+            err = wrap_phase(est.phi - true_phi)
+            sq += err * err
+        curve.append((int(n), math.sqrt(sq / trials) / (2.0 * math.pi)))
+    return curve
 
 
 # ------------------------------------------------------------ test inputs

@@ -17,17 +17,11 @@ import numpy as np
 
 from railbridge.cli import main
 from railbridge.fock import DensityMatrix, ModeRegister, PureState, to_density
-from railbridge.homodyne import (
-    phase_accuracy_curve,
-    phase_estimate,
-    sample,
-    wrap_phase,
-)
+from railbridge.homodyne import phase_estimate, sample
 from railbridge.protocol import (
     INPUT_STATES,
     SourceParams,
     simulated_triple_breakdown,
-    teleport_fidelity,
     triple_budget,
 )
 from railbridge.rates import (
@@ -43,7 +37,7 @@ from railbridge.tomography import (
     wigner,
 )
 
-from oracles import quadrature_pdf
+from oracles import phase_accuracy_curve, quadrature_pdf, teleport_fidelity, wrap_phase
 
 BENCH = SourceParams()  # gamma1=0.20, gamma23=0.054, eta_d=0.03, exact order
 

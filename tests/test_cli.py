@@ -367,6 +367,21 @@ def test_rates_rejects_config_eta_d_that_disagrees(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_rates_without_a_gamma1_rate_fails_as_one_error_line(tmp_path, capsys):
+    # R_gamma1 = 0 gives gamma1 = 0: the scaling formula is 0 and has no ratio
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(format_config(Config(seed=1, R_gamma1=0.0)))
+    out = tmp_path / "rt"
+    code, stdout, err = run(capsys, "rates", "--config", str(cfg), "--out", str(out))
+    assert code == 1 and stdout == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "ValueError"
+    assert error["message"].startswith("R_gamma1 = 0 gives gamma1 = 0")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, raw, command",
     [("gamma1", "nan", "simulate"), ("alpha_phase", "inf", "simulate"),

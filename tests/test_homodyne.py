@@ -14,13 +14,11 @@ from railbridge.homodyne import (
     PhaseEstimate,
     QuadratureDataset,
     hermite_functions,
-    phase_accuracy_curve,
     phase_estimate,
     sample,
-    wrap_phase,
 )
 
-from oracles import quadrature_pdf
+from oracles import phase_accuracy_curve, quadrature_pdf, wrap_phase
 
 XGRID = np.linspace(*DEFAULT_GRID[:2], DEFAULT_GRID[2])
 

@@ -21,7 +21,8 @@ from railbridge.protocol import (
     COUNTER_MODES,
     INPUT_STATES,
     SourceParams,
-    _herald_view,
+    _herald_unitary,
+    _rotated_diagonal,
     _source_pass,
     _swap_density,
     click_pattern_distribution,
@@ -116,12 +117,20 @@ def test_swap_density_matches_the_sum_over_every_counter_row(cutoff, eta_d):
     assert np.max(np.abs(sigma - p_ref * rho_ref.matrix)) <= TOL * p_ref
 
 
+@pytest.mark.parametrize("cutoff", [2, 3, 4])
+def test_pass_holds_one_copy_of_the_circuit_output(cutoff):
+    # the register-order state is a view of the projector-major array
+    src = _source_pass(SourceParams(), cutoff)
+    assert np.shares_memory(src.s.array, src.x)
+
+
 def test_one_pass_divides_by_the_weight_the_rotation_drops():
     # a strong pair source puts up to 2c photons in D; the diagonal herald
     # rotation cannot hold those within the cutoff and drops their weight
     params = SourceParams(gamma23=0.45, eta_d=0.4)
     chi = INPUT_STATES["D"]
-    _, _, rotated_norm = _herald_view(chi, params, 2)
+    u = _herald_unitary(chi, 2)
+    rotated_norm = np.sum(_rotated_diagonal(u, _source_pass(params, 2).tau))
     assert 1e-4 < 1.0 - rotated_norm < 1e-2
     assert_matches_reference(chi, params, 2)
 
@@ -205,7 +214,7 @@ def test_cached_pass_is_read_only():
     arrays = {
         "s": src.s.array,
         "tau": src.tau,
-        "rho_d": src.rho_d,
+        "x": src.x,
         "sigma": _swap_density(params, 2),
     }
     for name, a in arrays.items():

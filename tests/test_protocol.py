@@ -30,7 +30,6 @@ from railbridge.protocol import (
     swap_entanglement,
     swap_qubit_sector,
     teleport,
-    teleport_fidelity,
     triple_budget,
     triple_sector_probabilities,
 )
@@ -42,6 +41,7 @@ from oracles import (
     partial_trace,
     qubit_of,
     spcm_povm,
+    teleport_fidelity,
 )
 
 SQ2 = math.sqrt(2.0)

@@ -142,6 +142,14 @@ def test_circuit_consistency_at_bench_params():
         assert 0.0 < p < check["formula_probability"]
 
 
+@pytest.mark.parametrize("name", ["gamma1", "gamma23", "eta_d"])
+def test_circuit_consistency_rejects_a_zero_formula(name):
+    # with no good-triple term the formula is 0 and the ratio has no value
+    params = replace(SourceParams(), **{name: 0.0})
+    with pytest.raises(ValueError, match="gamma1 = .*gamma23 = .*eta_d = .*undefined"):
+        circuit_consistency(params)
+
+
 def test_monte_carlo_matches_click_arithmetic():
     # boosted amplitudes so triples are common enough to count
     params = SourceParams(gamma1=0.5, gamma23=0.4, eta_d=0.7)
@@ -224,6 +232,12 @@ def test_calibration_report_round_trip():
     # must serialize as-is for the CLI
     parsed = json.loads(json.dumps(rep))
     assert parsed["rates_in"]["R_L"] == 76e6
+
+
+def test_calibration_report_names_the_rate_that_leaves_no_ratio():
+    # R_gamma1 = 0 is a valid rate model but leaves the circuit check no ratio
+    with pytest.raises(ValueError, match="^R_gamma1 = 0 gives gamma1 = 0"):
+        calibration_report(RateModel(R_gamma1=0.0))
 
 
 def test_calibration_report_drive_amplitude_comes_from_R_alpha():
