@@ -550,7 +550,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         _manifest(args.out, args.command, ["railbridge", *argv], config, outputs)
         print(text)
         return 0
-    except (ConfigError, ValueError, OSError, jsonschema.ValidationError) as exc:
+    except (ConfigError, ValueError, OSError, MemoryError, jsonschema.ValidationError) as exc:
         if created is not None:
             shutil.rmtree(created, ignore_errors=True)
         error = {

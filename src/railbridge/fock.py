@@ -80,14 +80,6 @@ class ModeRegister:
             0 <= n < d for n, d in zip(occ, self.dims)
         )
 
-    def photons(self, label: str) -> np.ndarray:
-        """Photon number of one mode, shaped to broadcast over the
-        register's amplitude tensor."""
-        i = self.index(label)
-        shape = [1] * self.n_modes
-        shape[i] = self.dims[i]
-        return np.arange(self.dims[i]).reshape(shape)
-
     def subset(self, labels: Sequence[str]) -> "ModeRegister":
         """Sub-register in the order requested by the caller."""
         return ModeRegister(tuple(labels), tuple(self.cutoff_of(m) for m in labels))

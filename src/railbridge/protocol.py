@@ -30,13 +30,12 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .elements import (
     _pair_tensor,
-    apply_pair_map,
     click_probability,
     coherent_state,
     half_wave_plate,
@@ -217,23 +216,6 @@ def herald_setting_for(chi: QubitSpec) -> QubitSpec:
     return QubitSpec(chi.b.conjugate(), chi.a.conjugate())
 
 
-# --------------------------------------------------- conditional detection
-
-
-def _click_weights(
-    reg: ModeRegister, counters: Sequence[str], eta_d: float
-) -> np.ndarray:
-    """Weight of a click in every listed counter, broadcastable over ``reg``.
-
-    Each counter watches one mode and fires on its photon number n with
-    click_probability(n, eta_d).
-    """
-    w = np.ones((1,) * reg.n_modes)
-    for m in counters:
-        w = w * click_probability(reg.photons(m), eta_d)
-    return w
-
-
 # ---------------------------------------------------------- Bell projection
 
 
@@ -287,19 +269,19 @@ def _herald_rotation(chi: QubitSpec) -> np.ndarray:
 class _SourcePass(NamedTuple):
     """Read-only products of one source point's normalized circuit output S.
 
-    x: S itself, held once as a contiguous array in the layout both
-    reductions read, axes (n_A_H, n_C_H, (n_A_V, n_C_V, n_B), D) with
-    D = (n_D_H, n_D_V) flattened. s: a `PureState` view of x in register
-    order. tau: the D density of each (n_A_H, n_C_H) branch, axes (n_A_H,
-    n_C_H, D, D). None of them depends on the detection efficiency.
+    x: S itself, held once as a contiguous array with axes (n_A_H, n_C_H,
+    (n_A_V, n_C_V, n_B), D), D = (n_D_H, n_D_V) flattened. tau: the D
+    density of each (n_A_H, n_C_H) branch, axes (n_A_H, n_C_H, D, D).
+    Neither depends on the detection efficiency.
     """
 
-    s: PureState
     x: np.ndarray
     tau: np.ndarray
 
 
-# the projector counters' modes first, the herald's D modes last
+# the modes of S in register order, and in the order x holds them: the
+# projector counters' modes first, the herald's D modes last
+_REGISTER = ("A_H", "A_V", "D_H", "D_V", "C_H", "C_V", "B")
 _BELL_MAJOR = (*BELL_CLICK_MODES, "A_V", "C_V", "B", "D_H", "D_V")
 
 
@@ -313,8 +295,8 @@ def _source_pass(params: SourceParams, cutoff: int) -> _SourcePass:
     without it: the Monte-Carlo check at unit efficiency, the swap and
     every teleport at one point share one circuit run, and only σ, the
     click-weighted swap density, is derived per efficiency
-    (`_swap_density`). S is held once, projector-major, and its
-    register-order state is a view of that one array.
+    (`_swap_density`). S is held once, projector-major, and every reader,
+    `predetection_state` among them, reads that one array.
     """
     _check_exact_cutoff(cutoff)
     return _circuit_pass(replace(params, order="exact", eta_d=1.0), cutoff)
@@ -341,7 +323,7 @@ def _circuit_output(params: SourceParams, cutoff: int) -> PureState:
     # U and V as (p,q,b) x (a,c) and (a,c) x (r,s,h,v) matrices
     u = np.tensordot(t_a, omega, ([3], [1])).transpose(0, 1, 4, 2, 3).reshape(n**3, -1)
     v = np.tensordot(pair, t_c, ([1], [3])).transpose(0, 5, 3, 4, 1, 2).reshape(n**2, -1)
-    reg = ModeRegister.uniform(("A_H", "A_V", "D_H", "D_V", "C_H", "C_V", "B"), cutoff)
+    reg = ModeRegister.uniform(_REGISTER, cutoff)
     # u @ v has axes (A_H, A_V, B, C_H, C_V, D_H, D_V); view it in register order
     s = (u @ v).reshape((n,) * 7).transpose(0, 1, 5, 6, 3, 4, 2)
     return normalize(PureState(reg, s))
@@ -352,17 +334,16 @@ def _circuit_pass(params: SourceParams, cutoff: int) -> _SourcePass:
     # callers go through the inputs of one point in a row (six teleports, six
     # click distributions, one swap), so one slot serves them all; more would
     # only hold more memory
-    s = _circuit_output(params, cutoff)
-    reg, n = s.register, cutoff + 1
-    order = [reg.index(m) for m in _BELL_MAJOR]
+    n = cutoff + 1
+    order = [_REGISTER.index(m) for m in _BELL_MAJOR]
     # re-laid out only after normalize, which sums S in its memory order, so
     # the normalized amplitudes keep their bits
-    x = np.ascontiguousarray(np.transpose(s.array, order)).reshape(n, n, -1, n * n)
+    x = np.transpose(_circuit_output(params, cutoff).array, order)
+    x = np.ascontiguousarray(x).reshape(n, n, -1, n * n)
     x.flags.writeable = False
     tau = np.matmul(x.swapaxes(-1, -2), x.conj())
     tau.flags.writeable = False
-    s = PureState(reg, x.reshape((n,) * reg.n_modes).transpose(np.argsort(order)))
-    return _SourcePass(s, x, tau)
+    return _SourcePass(x, tau)
 
 
 @functools.lru_cache(maxsize=1)
@@ -397,14 +378,19 @@ def predetection_state(
     The herald analysis rotation maps the D axis that announces ``chi``
     onto D_H, so the herald counter watches D_H and D_V holds the blocked
     component. It is applied to the point's shared circuit output S
-    (`_source_pass`), which is exact because the rotation on D commutes
-    with the circuit on A and C, and the result is renormalized for the
-    weight the truncated rotation drops. The click arithmetic reads the
-    reductions of S instead; this full state serves what needs every mode,
-    the split of the triples by emission pattern.
+    (`_source_pass`) as one product on S's D axis with U, the lifted
+    rotation `teleport` and `counter_marginal` use. That is exact because
+    the rotation on D commutes with the circuit on A and C, and the result
+    is renormalized for the weight the truncated rotation drops. The state
+    is a register-order view of the rotated projector-major array. The
+    click arithmetic reads the reductions of S instead; this full state
+    serves what needs every mode, the split of the triples by emission
+    pattern.
     """
-    s = _source_pass(params, cutoff).s
-    return normalize(apply_pair_map(s, "D_H", "D_V", _herald_rotation(chi)))
+    n = cutoff + 1
+    rotated = _source_pass(params, cutoff).x @ _herald_unitary(chi, cutoff).T
+    rotated = rotated.reshape((n,) * 7).transpose([_BELL_MAJOR.index(m) for m in _REGISTER])
+    return normalize(PureState(ModeRegister.uniform(_REGISTER, cutoff), rotated))
 
 
 def _rotated_diagonal(u: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -581,17 +567,14 @@ def triple_sector_probabilities(
     and the split is exact. (1, 2) is the genuine event; (2, 2) and
     (1, 3) are the double-pair impostors.
     """
-    pre = predetection_state(chi, params, cutoff)
-    reg = pre.register
-    n_d = np.broadcast_to(reg.photons("D_H") + reg.photons("D_V"), reg.dims)
-    n_bell = np.broadcast_to(
-        sum(reg.photons(m) for m in ("A_H", "A_V", "C_H", "C_V")), reg.dims
-    )
-    weights = np.abs(pre.array) ** 2 * _click_weights(
-        reg, COUNTER_MODES, params.eta_d
-    )
-    table = np.zeros((n_d.max() + 1, n_bell.max() + 1))
-    np.add.at(table, (n_d.ravel(), n_bell.ravel()), weights.ravel())
+    click = click_probability(np.arange(cutoff + 1), params.eta_d)
+    density = np.abs(predetection_state(chi, params, cutoff).array) ** 2
+    # the three counters weigh A_H, C_H and D_H, and B is summed out:
+    # axes (A_H, A_V, D_H, D_V, C_H, C_V)
+    weights = np.einsum("aphvcqb,a,c,h->aphvcq", density, click, click, click)
+    occ = np.indices(weights.shape)
+    table = np.zeros((2 * cutoff + 1, 4 * cutoff + 1))
+    np.add.at(table, (occ[2] + occ[3], occ[0] + occ[1] + occ[4] + occ[5]), weights)
     return {
         (int(a), int(b)): float(table[a, b]) for a, b in np.argwhere(table > 0.0)
     }

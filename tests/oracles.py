@@ -32,7 +32,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from railbridge.config import Config
-from railbridge.elements import _pol_pair, apply_pair_map, half_wave_plate
+from railbridge.elements import _pol_pair, apply_pair_map, click_probability, half_wave_plate
 from railbridge.fock import (
     DensityMatrix,
     ModeRegister,
@@ -64,7 +64,6 @@ from railbridge.protocol import (
     SourceParams,
     _check_exact_cutoff,
     _circuit_input,
-    _click_weights,
     _herald_rotation,
     _rotation_to_h,
     ideal_teleport_target,
@@ -167,6 +166,24 @@ def branches(
     rest_reg = reg.subset([reg.labels[i] for i in rest_pos])
     t = np.transpose(state.array, keep_pos + rest_pos)
     return keep_reg, rest_reg, t.reshape((keep_reg.dim,) + rest_reg.dims)
+
+
+def _click_weights(
+    reg: ModeRegister, counters: Sequence[str], eta_d: float
+) -> np.ndarray:
+    """Weight of a click in every listed counter, broadcastable over ``reg``.
+
+    Each counter watches one mode and fires on its photon number n with
+    click_probability(n, eta_d). Moved here from `railbridge.protocol`,
+    whose sector split weighs the three counters' axes one by one.
+    """
+    w = np.ones((1,) * reg.n_modes)
+    for m in counters:
+        i = reg.index(m)
+        shape = [1] * reg.n_modes
+        shape[i] = reg.dims[i]
+        w = w * click_probability(np.arange(reg.dims[i]).reshape(shape), eta_d)
+    return w
 
 
 def condition_on_clicks(

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import railbridge
+from railbridge import cli
 from railbridge.cli import COMMAND_KEYS, main, validate_artifact
 from railbridge.config import Config
 from railbridge.fock import (
@@ -311,6 +312,24 @@ def test_wigner_rejects_degenerate_grid(tmp_path, capsys, grid):
     )
     assert code == 1 and stdout == ""
     assert "wigner grid" in assert_one_error_line(stderr, "wigner")
+    assert not out.exists()
+
+
+def test_out_of_memory_fails_as_one_error_line(tmp_path, capsys, monkeypatch):
+    # an oversized --grid or --samples fails inside numpy's allocator
+    def wigner(*_):
+        raise MemoryError("Unable to allocate 745. TiB for an array")
+
+    monkeypatch.setattr(cli, "wigner", wigner)
+    out = tmp_path / "w"
+    code, stdout, stderr = run(
+        capsys, "wigner", single_photon_file(tmp_path), "--out", str(out)
+    )
+    assert code == 1 and stdout == ""
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    error = json.loads(lines[0])["error"]
+    assert error["type"] == "MemoryError" and error["command"] == "wigner"
     assert not out.exists()
 
 

@@ -1,7 +1,7 @@
 """The one-pass exact engine against the per-input route it replaced.
 
-Every exact-order teleport, swap, click distribution and pre-detection
-state at a source point reads one shared Bell-circuit run
+Every exact-order teleport, swap, click distribution, pre-detection
+state and triple split at a source point reads one shared Bell-circuit run
 (`protocol._source_pass`), whatever the detection efficiency. The reference
 builds the full pre-detection state for each input, rotating D before the
 circuit, and conditions it on the clicks mode by mode (`oracles`). Density
@@ -31,6 +31,7 @@ from railbridge.protocol import (
     predetection_state,
     swap_entanglement,
     teleport,
+    triple_sector_probabilities,
 )
 
 TOL = 1e-12
@@ -99,7 +100,7 @@ def test_factored_circuit_output_matches_the_full_tensor_circuit(cutoff):
     rng = np.random.default_rng(1200 + cutoff)
     for _ in range(2 if cutoff < 5 else 1):
         params = random_point(rng)
-        s = _source_pass(params, cutoff).s
+        s = protocol._circuit_output(params, cutoff)
         ref = oracles.circuit_output(params, cutoff)
         assert s.register == ref.register
         assert np.max(np.abs(s.array - ref.array)) <= TOL
@@ -111,17 +112,38 @@ def test_swap_density_matches_the_sum_over_every_counter_row(cutoff, eta_d):
     # the reference weighs every (n_A_H, n_C_H) block, the no-click ones too
     params = replace(random_point(np.random.default_rng(1300 + cutoff)), eta_d=eta_d)
     rho_ref, p_ref = oracles.condition_on_clicks(
-        _source_pass(params, cutoff).s, BELL_CLICK_MODES, eta_d, keep=("D_H", "D_V", "B")
+        protocol._circuit_output(params, cutoff), BELL_CLICK_MODES, eta_d,
+        keep=("D_H", "D_V", "B"),
     )
     sigma = _swap_density(params, cutoff)
     assert np.max(np.abs(sigma - p_ref * rho_ref.matrix)) <= TOL * p_ref
 
 
+def sector_split_reference(chi, params, cutoff):
+    """The triple split from the per-input state, weighed over the whole register."""
+    pre = oracles.predetection_state(chi, params, cutoff)
+    reg = pre.register
+    occ = np.indices(reg.dims)
+    n_d = sum(occ[reg.index(m)] for m in ("D_H", "D_V"))
+    n_bell = sum(occ[reg.index(m)] for m in ("A_H", "A_V", "C_H", "C_V"))
+    weights = np.abs(pre.array) ** 2 * oracles._click_weights(
+        reg, COUNTER_MODES, params.eta_d
+    )
+    table = np.zeros((n_d.max() + 1, n_bell.max() + 1))
+    np.add.at(table, (n_d, n_bell), weights)
+    return {(int(a), int(b)): table[a, b] for a, b in np.argwhere(table > 0.0)}
+
+
 @pytest.mark.parametrize("cutoff", [2, 3, 4])
-def test_pass_holds_one_copy_of_the_circuit_output(cutoff):
-    # the register-order state is a view of the projector-major array
-    src = _source_pass(SourceParams(), cutoff)
-    assert np.shares_memory(src.s.array, src.x)
+def test_sector_split_matches_the_whole_register_weighting(cutoff):
+    rng = np.random.default_rng(1400 + cutoff)
+    params = random_point(rng)
+    for chi in (*INPUT_STATES.values(), random_qubit(rng)):
+        ref = sector_split_reference(chi, params, cutoff)
+        sectors = triple_sector_probabilities(chi, params, cutoff)
+        assert sectors.keys() == ref.keys()
+        for key, q in ref.items():
+            assert abs(sectors[key] - q) <= TOL * q, key
 
 
 def test_one_pass_divides_by_the_weight_the_rotation_drops():
@@ -212,7 +234,6 @@ def test_cached_pass_is_read_only():
     params = SourceParams()
     src = _source_pass(params, 2)
     arrays = {
-        "s": src.s.array,
         "tau": src.tau,
         "x": src.x,
         "sigma": _swap_density(params, 2),
